@@ -18,11 +18,11 @@ ascending, units as declared, imaginary part ascending).  Exit codes: 0 ok,
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import click
 
@@ -143,12 +143,21 @@ def _emit(records: list[dict], fmt: str, out: Optional[str],
         click.echo(text, nl=False)
 
 
-def _map_probes(worker: Callable[[Quaternion], dict], probes: list[Quaternion]) -> list[dict]:
-    """Evaluate probes concurrently, assembling output in canonical order."""
-    if len(probes) <= 1:
-        return [worker(s) for s in probes]
-    with ThreadPoolExecutor(max_workers=min(8, len(probes))) as pool:
-        return list(pool.map(worker, probes))
+def _reports_errors(command):
+    """Turn UsageError into click's usage error (exit 2) and any other library
+    error into a message on stderr and exit 1."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except UsageError as exc:
+            raise click.UsageError(str(exc)) from exc
+        except SliceRegularError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+    return run
 
 
 def _io_options(fn):
@@ -176,6 +185,7 @@ def cli():
 
 @cli.command()
 @_io_options
+@_reports_errors
 def transform(input_, probes, tol, fmt, seed, out):
     """Evaluate the Laplace transform of a time function at probe points.
 
@@ -183,40 +193,35 @@ def transform(input_, probes, tol, fmt, seed, out):
     "poly", "heaviside_shift", "sum", "scale"); an optional top-level
     "side": "left"|"right" selects the transform (default left).
     """
+    spec = _load_spec(input_, "transform")
+    if not isinstance(spec, dict):
+        raise UsageError("transform input must be a JSON object")
+    side_name = spec.pop("side", "left")
     try:
-        spec = _load_spec(input_, "transform")
-        if not isinstance(spec, dict):
-            raise UsageError("transform input must be a JSON object")
-        side_name = spec.pop("side", "left")
+        side = Side(side_name)
+    except ValueError as exc:
+        raise UsageError(f"side must be 'left' or 'right', got {side_name!r}") from exc
+    fn = time_function_from_json(spec)
+    cfg = QuadratureConfig(abs_tol=tol) if tol else QuadratureConfig()
+    result = laplace_left(fn, cfg) if side is Side.LEFT else laplace_right(fn, cfg)
+    points = _parse_probes(probes)
+
+    def record(s: Quaternion) -> dict:
         try:
-            side = Side(side_name)
-        except ValueError as exc:
-            raise UsageError(f"side must be 'left' or 'right', got {side_name!r}") from exc
-        fn = time_function_from_json(spec)
-        cfg = QuadratureConfig(abs_tol=tol) if tol else QuadratureConfig()
-        result = laplace_left(fn, cfg) if side is Side.LEFT else laplace_right(fn, cfg)
-        points = _parse_probes(probes)
+            value, err = result.evaluate_with_error(s)
+            return {"s": s.to_list(), "value": value.to_list(), "est_error": err}
+        except (DomainError, AccuracyError) as exc:
+            return {"s": s.to_list(), "error": str(exc)}
 
-        def worker(s: Quaternion) -> dict:
-            try:
-                value, err = result.evaluate_with_error(s)
-                return {"s": s.to_list(), "value": value.to_list(), "est_error": err}
-            except (DomainError, AccuracyError) as exc:
-                return {"s": s.to_list(), "error": str(exc)}
-
-        records = _map_probes(worker, points)
-        _emit(records, fmt, out)
-        if any("error" in r for r in records):
-            sys.exit(1)
-    except UsageError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except SliceRegularError as exc:
-        click.echo(f"error: {exc}", err=True)
+    records = [record(s) for s in points]
+    _emit(records, fmt, out)
+    if any("error" in r for r in records):
         sys.exit(1)
 
 
 @cli.command()
 @_io_options
+@_reports_errors
 def regprod(input_, probes, tol, fmt, seed, out):
     """Star-multiply two series: input JSON {"f": <series>, "g": <series>}.
 
@@ -224,65 +229,51 @@ def regprod(input_, probes, tol, fmt, seed, out):
     the product coefficients; with --probes, an evaluation table instead
     (JSON output always carries the coefficients).
     """
+    spec = _load_spec(input_, "regprod")
     try:
-        spec = _load_spec(input_, "regprod")
-        try:
-            f = RegularSeries.from_json_dict(spec["f"])
-            g = RegularSeries.from_json_dict(spec["g"])
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"regprod input needs series fields 'f' and 'g': {exc}") from exc
-        product = f.star(g)
-        preamble = {"side": product.side.value,
-                    "coeffs": [c.to_list() for c in product.coeffs]}
-        if probes is not None:
-            points = _parse_probes(probes)
-            records = _map_probes(
-                lambda q: {"q": q.to_list(), "value": product(q).to_list()}, points)
-        else:
-            records = [{"n": n, "coeff": c.to_list()} for n, c in enumerate(product.coeffs)]
-        _emit(records, fmt, out, preamble if fmt == "json" else None)
-    except UsageError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except SliceRegularError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        f = RegularSeries.from_json_dict(spec["f"])
+        g = RegularSeries.from_json_dict(spec["g"])
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"regprod input needs series fields 'f' and 'g': {exc}") from exc
+    product = f.star(g)
+    preamble = {"side": product.side.value,
+                "coeffs": [c.to_list() for c in product.coeffs]}
+    if probes is not None:
+        records = [{"q": q.to_list(), "value": product(q).to_list()}
+                   for q in _parse_probes(probes)]
+    else:
+        records = [{"n": n, "coeff": c.to_list()} for n, c in enumerate(product.coeffs)]
+    _emit(records, fmt, out, preamble if fmt == "json" else None)
 
 
 @cli.command("eval")
 @_io_options
+@_reports_errors
 def eval_series(input_, probes, tol, fmt, seed, out):
     """Evaluate a series (side-aware Horner) at probe points."""
-    try:
-        spec = _load_spec(input_, "eval")
-        if not isinstance(spec, dict):
-            raise UsageError("eval input must be a series object")
-        series = RegularSeries.from_json_dict(spec)
-        points = _parse_probes(probes)
+    spec = _load_spec(input_, "eval")
+    if not isinstance(spec, dict):
+        raise UsageError("eval input must be a series object")
+    series = RegularSeries.from_json_dict(spec)
+    points = _parse_probes(probes)
 
-        def worker(q: Quaternion) -> dict:
-            report = series.evaluate(q)
-            return {"q": q.to_list(), "value": report.value.to_list(),
-                    "terms_used": report.terms_used, "trunc_bound": report.trunc_bound}
+    def record(q: Quaternion) -> dict:
+        report = series.evaluate(q)
+        return {"q": q.to_list(), "value": report.value.to_list(),
+                "terms_used": report.terms_used, "trunc_bound": report.trunc_bound}
 
-        _emit(_map_probes(worker, points), fmt, out)
-    except UsageError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except SliceRegularError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    _emit([record(q) for q in points], fmt, out)
 
 
 @cli.command()
 @click.argument("suite", type=str)
 @_io_options
+@_reports_errors
 def verify(suite, input_, probes, tol, fmt, seed, out):
     """Run a named property suite; exit 0 iff every property passes."""
-    try:
-        if tol is not None and tol <= 0:
-            raise UsageError("--tol must be positive")
-        checks = run_suite(suite, seed=seed, tol=tol)
-    except UsageError as exc:
-        raise click.UsageError(str(exc)) from exc
+    if tol is not None and tol <= 0:
+        raise UsageError("--tol must be positive")
+    checks = run_suite(suite, seed=seed, tol=tol)
     records = [c.to_json_dict() for c in checks]
     _emit(records, fmt, out, {"suite": suite, "seed": seed})
     failures = [c for c in checks if not c.passed]
@@ -299,6 +290,7 @@ _TABLE_BUILTINS = ("exp", "cauchy_kernel", "cauchy_kernel_right", "exp_transform
 
 @cli.command()
 @_io_options
+@_reports_errors
 def table(input_, probes, tol, fmt, seed, out):
     """Tabulate a built-in function on a probe grid.
 
@@ -306,42 +298,36 @@ def table(input_, probes, tol, fmt, seed, out):
     | {"function": "cauchy_kernel_right", "q": [...]} |
     {"function": "exp_transform", "b": [...], "side": "left"|"right"}.
     """
+    spec = _load_spec(input_, "table")
+    if not isinstance(spec, dict) or "function" not in spec:
+        raise UsageError("table input must name a 'function'")
+    name = spec["function"]
     try:
-        spec = _load_spec(input_, "table")
-        if not isinstance(spec, dict) or "function" not in spec:
-            raise UsageError("table input must name a 'function'")
-        name = spec["function"]
+        if name == "exp":
+            fn = exp_function()
+        elif name == "cauchy_kernel":
+            fn = cauchy_kernel(quat_from_list(spec["s"]))
+        elif name == "cauchy_kernel_right":
+            fn = cauchy_kernel_right(quat_from_list(spec["q"]))
+        elif name == "exp_transform":
+            fn = exp_transform_closed_form(
+                quat_from_list(spec["b"]), Side(spec.get("side", "left"))).fn
+        else:
+            raise UsageError(
+                f"unknown function {name!r}; expected one of {', '.join(_TABLE_BUILTINS)}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed table spec: {exc}") from exc
+    points = _parse_probes(probes)
+
+    def record(q: Quaternion) -> dict:
         try:
-            if name == "exp":
-                fn = exp_function()
-            elif name == "cauchy_kernel":
-                fn = cauchy_kernel(quat_from_list(spec["s"]))
-            elif name == "cauchy_kernel_right":
-                fn = cauchy_kernel_right(quat_from_list(spec["q"]))
-            elif name == "exp_transform":
-                fn = exp_transform_closed_form(
-                    quat_from_list(spec["b"]), Side(spec.get("side", "left"))).fn
-            else:
-                raise UsageError(
-                    f"unknown function {name!r}; expected one of {', '.join(_TABLE_BUILTINS)}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"malformed table spec: {exc}") from exc
-        points = _parse_probes(probes)
+            return {"q": q.to_list(), "value": fn.evaluate(q).to_list()}
+        except DomainError as exc:
+            return {"q": q.to_list(), "error": str(exc)}
 
-        def worker(q: Quaternion) -> dict:
-            try:
-                return {"q": q.to_list(), "value": fn.evaluate(q).to_list()}
-            except DomainError as exc:
-                return {"q": q.to_list(), "error": str(exc)}
-
-        records = _map_probes(worker, points)
-        _emit(records, fmt, out)
-        if any("error" in r for r in records):
-            sys.exit(1)
-    except UsageError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except SliceRegularError as exc:
-        click.echo(f"error: {exc}", err=True)
+    records = [record(q) for q in points]
+    _emit(records, fmt, out)
+    if any("error" in r for r in records):
         sys.exit(1)
 
 

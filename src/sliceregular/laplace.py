@@ -115,52 +115,37 @@ def _truncation_point(growth: GrowthBound, breakpoints: Sequence[float],
 class _TransformStem(IntrinsicStem):
     """Quadrature-backed stem of one real component of a transform.
 
-    power = k evaluates integral(e^{-tz} (-t)^k f_m(t) dt), i.e. the k-th
-    derivative of the component transform; the derivative chain just bumps k.
-    Evaluations are memoized per point (value-identical, so the cache is
-    observably absent).
+    Built by `_transform_stem`; the class only marks transform stems by type.
     """
 
-    __slots__ = ("_fn", "_index", "_power", "_cfg", "_component", "_memo", "_shared")
+    __slots__ = ()
 
-    def __init__(self, fn: TimeDomainFunction, index: int, cfg: QuadratureConfig,
-                 power: int = 0, shared_cache: Optional[dict] = None):
-        self._fn = fn
-        self._index = index
-        self._power = power
-        self._cfg = cfg
-        self._shared = shared_cache if shared_cache is not None else {}
-        self._component = fn.component(index, self._shared)
-        self._memo: dict[complex, tuple[complex, float]] = {}
-        super().__init__(
-            self._evaluate_value,
-            half_plane(fn.growth.a),
-            derivative=self._make_derivative,
-            evaluator_with_error=self._evaluate,
-            name=f"L[f_{index}] power {power}",
-        )
 
-    def _make_derivative(self) -> "_TransformStem":
-        return _TransformStem(self._fn, self._index, self._cfg,
-                              self._power + 1, self._shared)
+def _transform_stem(fn: TimeDomainFunction, index: int, cfg: QuadratureConfig,
+                    power: int, shared: dict) -> _TransformStem:
+    """Stem evaluating integral(e^{-tz} (-t)^power f_index(t) dt).
 
-    def _evaluate_value(self, z: complex) -> complex:
-        return self._evaluate(z)[0]
+    That is the power-th derivative of the component transform, so the
+    derivative chain just bumps the power.  Evaluations are memoized per point
+    (value-identical, so the cache is observably absent).  The closures hold
+    the memo and the shared t-cache but never the stem, so both are freed
+    with it.
+    """
+    growth = fn.growth
+    breakpoints = fn.breakpoints
+    component = fn.component(index, shared)
+    memo: dict[complex, tuple[complex, float]] = {}
 
-    def _evaluate(self, z: complex) -> tuple[complex, float]:
-        hit = self._memo.get(z)
+    def evaluate(z: complex) -> tuple[complex, float]:
+        hit = memo.get(z)
         if hit is not None:
             return hit
-        growth = self._fn.growth
         lam = z.real - growth.a
         if lam <= 0.0:
             raise DomainError(
                 f"transform evaluation needs Re(s) > {growth.a:g}, got {z.real:g}"
             )
-        cfg = self._cfg
-        power = self._power
-        component = self._component
-        T = _truncation_point(growth, self._fn.breakpoints, lam, power, cfg)
+        T = _truncation_point(growth, breakpoints, lam, power, cfg)
 
         if power == 0:
             def integrand(t: float) -> complex:
@@ -171,25 +156,36 @@ class _TransformStem(IntrinsicStem):
 
         value, err = integrate_complex(
             integrand, 0.0, T, abs_tol=cfg.abs_tol / 2.0,
-            max_panels=cfg.max_subdivisions, breakpoints=self._fn.breakpoints,
+            max_panels=cfg.max_subdivisions, breakpoints=breakpoints,
         )
         total_err = err + _tail_bound(T, lam, growth.K, power)
-        if len(self._memo) > _MEMO_LIMIT:
-            self._memo.clear()
-        if len(self._shared) > _MEMO_LIMIT:
-            self._shared.clear()
-        self._memo[z] = (value, total_err)
+        if len(memo) > _MEMO_LIMIT:
+            memo.clear()
+        if len(shared) > _MEMO_LIMIT:
+            shared.clear()
+        memo[z] = (value, total_err)
         return value, total_err
+
+    return _TransformStem._with_error(
+        evaluate, half_plane(growth.a),
+        lambda: _transform_stem(fn, index, cfg, power + 1, shared),
+        f"L[f_{index}] power {power}",
+    )
 
 
 @dataclass(slots=True)
 class TransformResult:
-    """An evaluable transform: a slice regular function plus its half-plane."""
+    """An evaluable transform: a slice regular function on its half-plane."""
 
     fn: SliceRegularFunction
-    domain: Region
-    side: Side
-    quadrature_tolerance: float
+
+    @property
+    def domain(self) -> Region:
+        return self.fn.domain
+
+    @property
+    def side(self) -> Side:
+        return self.fn.side
 
     def evaluate(self, s) -> Quaternion:
         return self.fn.evaluate(s)
@@ -200,22 +196,15 @@ class TransformResult:
     def __call__(self, s) -> Quaternion:
         return self.evaluate(s)
 
-    def _wrap(self, stems, domain: Optional[Region] = None,
-              side: Optional[Side] = None) -> "TransformResult":
+    def _wrap(self, stems, domain: Optional[Region] = None) -> "TransformResult":
         dom = domain if domain is not None else self.domain
-        return TransformResult(
-            SliceRegularFunction(side or self.side, stems, dom),
-            dom, side or self.side, self.quadrature_tolerance,
-        )
+        return TransformResult(SliceRegularFunction(self.side, stems, dom))
 
 
 def _transform(fn: TimeDomainFunction, side: Side, cfg: QuadratureConfig) -> TransformResult:
     shared: dict = {}
-    stems = [_TransformStem(fn, m, cfg, 0, shared) for m in range(4)]
-    domain = half_plane(fn.growth.a)
-    return TransformResult(
-        SliceRegularFunction(side, stems, domain), domain, side, cfg.abs_tol
-    )
+    stems = [_transform_stem(fn, m, cfg, 0, shared) for m in range(4)]
+    return TransformResult(SliceRegularFunction(side, stems, half_plane(fn.growth.a)))
 
 
 def laplace_left(fn: TimeDomainFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> TransformResult:
@@ -249,7 +238,7 @@ def exp_transform_closed_form(b: Quaternion, side: Side) -> TransformResult:
         rational_stem([b.y], den, dom),
         rational_stem([b.z], den, dom),
     )
-    return TransformResult(SliceRegularFunction(side, stems, dom), dom, side, 0.0)
+    return TransformResult(SliceRegularFunction(side, stems, dom))
 
 
 def shift_real(F: TransformResult, a_shift: float) -> TransformResult:
@@ -430,9 +419,7 @@ def laplace_of_convolution(f: TimeDomainFunction, g: TimeDomainFunction,
     c = max(f.growth.a, g.growth.a)
     dom = half_plane(c)
     product_fn = F.fn.star(G.fn)
-    via_product = TransformResult(
-        SliceRegularFunction(Side.LEFT, product_fn.stems, dom), dom, Side.LEFT, cfg.abs_tol
-    )
+    via_product = TransformResult(SliceRegularFunction(Side.LEFT, product_fn.stems, dom))
     direct = laplace_left(convolution(f, g, cfg), cfg)
     return ConvolutionTransform(via_product, direct, dom, Side.LEFT)
 

@@ -82,46 +82,37 @@ class SliceRegularFunction:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, q, real_axis_unit: Quaternion = REAL_AXIS_UNIT) -> Quaternion:
+        return self._evaluate(q, real_axis_unit)[0]
+
+    def evaluate_with_error(self, q) -> tuple[Quaternion, float]:
+        """Value together with the summed error bounds of the four stems."""
+        return self._evaluate(q, REAL_AXIS_UNIT)
+
+    __call__ = evaluate
+
+    def _evaluate(self, q, real_axis_unit: Quaternion) -> tuple[Quaternion, float]:
         q = q if isinstance(q, Quaternion) else Quaternion.real(q)
         sc = slice_decompose(q, real_axis_unit)
         if not self.domain.contains(sc.x, sc.y):
             raise DomainError(f"{q} lies outside the {self.domain.kind} domain {self.domain.bounds}")
-        return self._assemble_value(sc.x, sc.y, sc.unit)
+        return self._assemble(complex(sc.x, sc.y), sc.unit)
 
-    def _assemble_value(self, x: float, y: float, unit: Quaternion) -> Quaternion:
-        z = complex(x, y)
-        total = Quaternion()
-        for stem, base in zip(self.stems, UNITS):
-            w = stem(z)
-            slice_value = Quaternion(w.real, unit.x * w.imag, unit.y * w.imag, unit.z * w.imag)
-            if self.side is Side.LEFT:
-                total = total + slice_value * base
-            else:
-                total = total + base * slice_value
-        return total
-
-    def evaluate_with_error(self, q) -> tuple[Quaternion, float]:
-        q = q if isinstance(q, Quaternion) else Quaternion.real(q)
-        sc = slice_decompose(q)
-        if not self.domain.contains(sc.x, sc.y):
-            raise DomainError(f"{q} lies outside the {self.domain.kind} domain {self.domain.bounds}")
-        z = complex(sc.x, sc.y)
+    def _assemble(self, z: complex, unit: Quaternion) -> tuple[Quaternion, float]:
+        """sum_m h_m(z) J_m (or J_m h_m(z)) on the slice of `unit`, with its error."""
         total = Quaternion()
         err = 0.0
         for stem, base in zip(self.stems, UNITS):
             w, e = stem.eval_with_error(z)
             err += e
-            slice_value = Quaternion(w.real, sc.unit.x * w.imag, sc.unit.y * w.imag, sc.unit.z * w.imag)
+            slice_value = Quaternion(w.real, unit.x * w.imag, unit.y * w.imag, unit.z * w.imag)
             total = total + (slice_value * base if self.side is Side.LEFT else base * slice_value)
         return total, err
-
-    __call__ = evaluate
 
     def restrict_to_slice(self, unit: Quaternion) -> Callable[[complex], Quaternion]:
         """The restriction z -> f(x + unit*y) as a map of one complex variable."""
 
         def restriction(z: complex) -> Quaternion:
-            return self._assemble_value(z.real, z.imag, unit)
+            return self._assemble(z, unit)[0]
 
         return restriction
 
@@ -153,18 +144,16 @@ class SliceRegularFunction:
 
     def reflect(self) -> "SliceRegularFunction":
         """Reflection involution q -> conj(f(conj q)): conjugate the basis, flip the side."""
-        h0, h1, h2, h3 = self.stems
-        return SliceRegularFunction(
-            self.side.flipped(),
-            (h0, stem_scale(-1.0, h1), stem_scale(-1.0, h2), stem_scale(-1.0, h3)),
-            self.domain,
-        )
+        return self._conjugate_basis(self.side.flipped())
 
     def regular_conjugate(self) -> "SliceRegularFunction":
         """Conjugate the basis pairing without changing the side."""
+        return self._conjugate_basis(self.side)
+
+    def _conjugate_basis(self, side: Side) -> "SliceRegularFunction":
         h0, h1, h2, h3 = self.stems
         return SliceRegularFunction(
-            self.side,
+            side,
             (h0, stem_scale(-1.0, h1), stem_scale(-1.0, h2), stem_scale(-1.0, h3)),
             self.domain,
         )

@@ -43,32 +43,43 @@ NUMERIC_STEP = 1e-4
 
 
 class IntrinsicStem:
-    """Evaluable intrinsic holomorphic function of one complex variable."""
+    """Evaluable intrinsic holomorphic function of one complex variable.
 
-    __slots__ = ("_eval", "domain", "_derivative", "_eval_with_error", "name")
+    A stem holds one evaluator returning (value, absolute error bound).  The
+    public constructor takes a value-only evaluator, which is exact (error 0).
+    """
+
+    __slots__ = ("_eval", "domain", "_derivative", "name")
 
     def __init__(
         self,
         evaluator: Callable[[complex], complex],
         domain: Region = ENTIRE,
         derivative: DerivativeSpec = None,
-        evaluator_with_error: Optional[Callable[[complex], tuple[complex, float]]] = None,
         name: str = "stem",
     ):
-        self._eval = evaluator
+        self._eval = lambda z: (complex(evaluator(z)), 0.0)
         self.domain = domain
         self._derivative = derivative
-        self._eval_with_error = evaluator_with_error
         self.name = name
 
+    @classmethod
+    def _with_error(cls, evaluator: Callable[[complex], tuple[complex, float]],
+                    domain: Region, derivative: DerivativeSpec, name: str) -> "IntrinsicStem":
+        """A stem whose evaluator already returns (value, error)."""
+        stem = cls.__new__(cls)
+        stem._eval = evaluator
+        stem.domain = domain
+        stem._derivative = derivative
+        stem.name = name
+        return stem
+
     def __call__(self, z: complex) -> complex:
-        return complex(self._eval(complex(z)))
+        return self._eval(complex(z))[0]
 
     def eval_with_error(self, z: complex) -> tuple[complex, float]:
         """Value together with an absolute error bound (0 for analytic stems)."""
-        if self._eval_with_error is not None:
-            return self._eval_with_error(complex(z))
-        return self(z), 0.0
+        return self._eval(complex(z))
 
     @property
     def has_derivative(self) -> bool:
@@ -226,9 +237,7 @@ def _common_domain(a: IntrinsicStem, b: IntrinsicStem) -> Region:
 
 
 def stem_sum(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
-    dom = _common_domain(a, b)
-
-    def with_error(z):
+    def ev(z):
         va, ea = a.eval_with_error(z)
         vb, eb = b.eval_with_error(z)
         return va + vb, ea + eb
@@ -236,14 +245,11 @@ def stem_sum(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
     deriv = None
     if a.has_derivative and b.has_derivative:
         deriv = lambda: stem_sum(a.derivative_stem(None), b.derivative_stem(None))
-    return IntrinsicStem(lambda z: a(z) + b(z), dom, derivative=deriv,
-                         evaluator_with_error=with_error, name=f"({a.name})+({b.name})")
+    return IntrinsicStem._with_error(ev, _common_domain(a, b), deriv, f"({a.name})+({b.name})")
 
 
 def stem_product(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
-    dom = _common_domain(a, b)
-
-    def with_error(z):
+    def ev(z):
         va, ea = a.eval_with_error(z)
         vb, eb = b.eval_with_error(z)
         return va * vb, abs(va) * eb + abs(vb) * ea + ea * eb
@@ -254,22 +260,20 @@ def stem_product(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
             stem_product(a.derivative_stem(None), b),
             stem_product(a, b.derivative_stem(None)),
         )
-    return IntrinsicStem(lambda z: a(z) * b(z), dom, derivative=deriv,
-                         evaluator_with_error=with_error, name=f"({a.name})*({b.name})")
+    return IntrinsicStem._with_error(ev, _common_domain(a, b), deriv, f"({a.name})*({b.name})")
 
 
 def stem_scale(factor: float, a: IntrinsicStem) -> IntrinsicStem:
     f = float(factor)
 
-    def with_error(z):
+    def ev(z):
         v, e = a.eval_with_error(z)
         return f * v, abs(f) * e
 
     deriv = None
     if a.has_derivative:
         deriv = lambda: stem_scale(f, a.derivative_stem(None))
-    return IntrinsicStem(lambda z: f * a(z), a.domain, derivative=deriv,
-                         evaluator_with_error=with_error, name=f"{f:g}*({a.name})")
+    return IntrinsicStem._with_error(ev, a.domain, deriv, f"{f:g}*({a.name})")
 
 
 def stem_shift(a: IntrinsicStem, offset: float) -> IntrinsicStem:
@@ -290,38 +294,29 @@ def stem_shift(a: IntrinsicStem, offset: float) -> IntrinsicStem:
             raise UsageError(f"shift by {off:g} empties the annulus domain")
         dom = Region(dom.kind, (lo, hi))
 
-    def with_error(z):
-        return a.eval_with_error(z + off)
-
     deriv = None
     if a.has_derivative:
         deriv = lambda: stem_shift(a.derivative_stem(None), off)
-    return IntrinsicStem(lambda z: a(z + off), dom, derivative=deriv,
-                         evaluator_with_error=with_error, name=f"{a.name}(z+{off:g})")
+    return IntrinsicStem._with_error(lambda z: a.eval_with_error(z + off), dom, deriv,
+                                     f"{a.name}(z+{off:g})")
 
 
 def stem_mul_z(a: IntrinsicStem) -> IntrinsicStem:
-    def with_error(z):
+    def ev(z):
         v, e = a.eval_with_error(z)
         return z * v, abs(z) * e
 
     deriv = None
     if a.has_derivative:
         deriv = lambda: stem_sum(a, stem_mul_z(a.derivative_stem(None)))
-    return IntrinsicStem(lambda z: z * a(z), a.domain, derivative=deriv,
-                         evaluator_with_error=with_error, name=f"z*({a.name})")
+    return IntrinsicStem._with_error(ev, a.domain, deriv, f"z*({a.name})")
 
 
 def stem_div_z(a: IntrinsicStem, pole_tol: float = 1e-12) -> IntrinsicStem:
-    def ev(z: complex) -> complex:
+    def ev(z):
         if abs(z) <= pole_tol:
             raise PoleError("division by z at the origin")
-        return a(z) / z
-
-    def with_error(z):
         v, e = a.eval_with_error(z)
-        if abs(z) <= pole_tol:
-            raise PoleError("division by z at the origin")
         return v / z, e / abs(z)
 
     deriv = None
@@ -331,5 +326,4 @@ def stem_div_z(a: IntrinsicStem, pole_tol: float = 1e-12) -> IntrinsicStem:
             stem_div_z(a.derivative_stem(None), pole_tol),
             stem_scale(-1.0, stem_div_z(stem_div_z(a, pole_tol), pole_tol)),
         )
-    return IntrinsicStem(ev, a.domain, derivative=deriv,
-                         evaluator_with_error=with_error, name=f"({a.name})/z")
+    return IntrinsicStem._with_error(ev, a.domain, deriv, f"({a.name})/z")

@@ -78,8 +78,9 @@ class TestTransform:
         value = quat_from_list(json.loads(result.output)["records"][0]["value"])
         assert (value - Quaternion(0.3, -0.4, -0.1, 0.2)).norm() <= 1e-6
 
-    def test_malformed_spec_exit_2(self, runner):
-        result = runner.invoke(cli, ["transform", "--input", '{"kind": "exp"',
+    @pytest.mark.parametrize("command", ["transform", "regprod", "eval", "table"])
+    def test_malformed_spec_exit_2(self, runner, command):
+        result = runner.invoke(cli, [command, "--input", '{"kind": "exp"',
                                      "--probes", PROBES_3])
         assert result.exit_code == 2
         assert "line" in result.output  # diagnostics carry a position

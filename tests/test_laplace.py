@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -441,3 +442,57 @@ class TestSliceRestriction:
         z = complex(1.2, 0.8)
         w = 1.0 / ((z + 1) * (z + 1))
         assert (F(slice_embed(z.real, z.imag, J)) - embed_complex(w, J)).norm() <= 1e-8
+
+
+def _rules(F, G):
+    """The operational rules applied to F, with G as the convolution partner."""
+    return {
+        "star_partner": F.fn.star(G.fn),
+        "derivative_2": derivative_of_transform(F, 2),
+        "heaviside_shift": heaviside_shift(F, 0.5),
+        "shift_real": shift_real(F, 0.5),
+        "integral": transform_of_integral(F),
+        "reflect": F.fn.reflect(),
+    }
+
+
+ERROR_PROBES = (Quaternion(1, 2, 0, 0), slice_embed(0.7, 1.3, J),
+                Quaternion(2.5, 0.3, -0.4, 0.5), Quaternion.real(1.5))
+
+
+class TestErrorPropagation:
+    def test_bound_covers_distance_to_closed_form(self):
+        f = exponential_function(J)
+        F = laplace_left(f)
+        C = exp_transform_closed_form(J, Side.LEFT)
+        pairs = {"left": (F, C),
+                 "right": (laplace_right(f), exp_transform_closed_form(J, Side.RIGHT)),
+                 "convolution": (laplace_of_convolution(f, f).via_product, C.fn.star(C.fn))}
+        approx_rules, closed_rules = _rules(F, C), _rules(C, C)
+        pairs.update({name: (approx_rules[name], closed_rules[name]) for name in approx_rules})
+        for name, (approx, closed) in pairs.items():
+            for s in ERROR_PROBES:
+                value, bound = approx.evaluate_with_error(s)
+                assert value == approx.evaluate(s), name
+                exact = closed.evaluate(s)
+                assert (value - exact).norm() <= bound, name
+                assert closed.evaluate_with_error(s) == (exact, 0.0), name
+
+
+class TestLifetime:
+    def test_dropped_transforms_need_no_cycle_collection(self):
+        f = exponential_function(J)
+        s = Quaternion(1, 2, 0, 0)
+        gc.collect()
+        gc.disable()  # only reference counting may free what the test drops
+        try:
+            F = laplace_left(f)
+            results = [F, laplace_right(f), laplace_of_convolution(f, f).via_product,
+                       derivative_of_transform(F, 2), heaviside_shift(F, 0.5),
+                       shift_real(F, 0.5), transform_of_integral(F), F.fn.reflect()]
+            for result in results:
+                result.evaluate(s)
+            del F, results, result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
