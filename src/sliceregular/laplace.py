@@ -3,10 +3,12 @@
 The left transform integral(e^{-ts} f(t) dt, t=0..inf) of a quaternion-valued
 f splits over the real components f = sum_m f_m J_m into four classical
 complex transforms evaluated on the slice of s, assembled back through the
-tensor form: that is exactly how the engine evaluates.  Each component stem
+tensor form: that is exactly how the engine evaluates.  The four share the
+kernel e^{-tz}, so at each point one adaptive panel quadrature of a complex
+4-vector computes them together and evaluates f once per node.  It
 truncates the half-line at a point T* where the analytic tail bound
 K e^{(a - Re s) T*} terms fall below half the tolerance budget, and spends
-the other half on adaptive panel quadrature of [0, T*].
+the other half on the panels of [0, T*].
 
 Results are slice regular functions of s on the half-plane Re(s) > a, so the
 whole operational calculus (shifts, derivative and integral rules, the
@@ -22,9 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
+from . import quadrature
 from .errors import DomainError, UsageError
 from .quaternion import Quaternion
-from .quadrature import integrate_complex, integrate_quaternion
+from .quadrature import integrate_quaternion
 from .regions import Region, half_plane
 from .series import Side
 from .slicefn import SliceRegularFunction
@@ -70,8 +75,9 @@ __all__ = [
 class QuadratureConfig:
     """Accuracy knobs for transform evaluation.
 
-    abs_tol is the absolute error budget per component evaluation; half of it
-    is reserved for the truncated tail, further divided by tail_safety.
+    abs_tol is the absolute error budget of each component of a joint
+    transform evaluation; half of it is reserved for the truncated tail,
+    further divided by tail_safety.
     """
 
     abs_tol: float = 1e-10
@@ -115,29 +121,27 @@ def _truncation_point(growth: GrowthBound, breakpoints: Sequence[float],
 class _TransformStem(IntrinsicStem):
     """Quadrature-backed stem of one real component of a transform.
 
-    Built by `_transform_stem`; the class only marks transform stems by type.
+    Built by `_transform_stems`; the class only marks transform stems by type.
     """
 
     __slots__ = ()
 
 
-def _transform_stem(fn: TimeDomainFunction, index: int, cfg: QuadratureConfig,
-                    power: int, shared: dict) -> _TransformStem:
-    """Stem evaluating integral(e^{-tz} (-t)^power f_index(t) dt).
+def _transform_stems(fn: TimeDomainFunction, cfg: QuadratureConfig, power: int,
+                     memo: dict) -> list[_TransformStem]:
+    """The four stems of integral(e^{-tz} (-t)^power f(t) dt), one per component.
 
-    That is the power-th derivative of the component transform, so the
-    derivative chain just bumps the power.  Evaluations are memoized per point
-    (value-identical, so the cache is observably absent).  The closures hold
-    the memo and the shared t-cache but never the stem, so both are freed
-    with it.
+    That is the power-th derivative of the transform, so the derivative chain
+    just bumps the power.  One quadrature per (power, z) integrates all four
+    components into the transform's only memo (value-identical, so the memo
+    is observably absent), and stem m reads component m.  The closures hold
+    the memo but never a stem, so it is freed with the stems.
     """
     growth = fn.growth
     breakpoints = fn.breakpoints
-    component = fn.component(index, shared)
-    memo: dict[complex, tuple[complex, float]] = {}
 
-    def evaluate(z: complex) -> tuple[complex, float]:
-        hit = memo.get(z)
+    def evaluate(z: complex) -> tuple[np.ndarray, float]:
+        hit = memo.get((power, z))
         if hit is not None:
             return hit
         lam = z.real - growth.a
@@ -147,30 +151,31 @@ def _transform_stem(fn: TimeDomainFunction, index: int, cfg: QuadratureConfig,
             )
         T = _truncation_point(growth, breakpoints, lam, power, cfg)
 
-        if power == 0:
-            def integrand(t: float) -> complex:
-                return cmath.exp(-t * z) * component(t)
-        else:
-            def integrand(t: float) -> complex:
-                return cmath.exp(-t * z) * (-t) ** power * component(t)
+        def integrand(t: float) -> np.ndarray:
+            return cmath.exp(-t * z) * (-t) ** power * np.array(fn.evaluator(t).components())
 
-        value, err = integrate_complex(
+        values, err = quadrature.integrate_adaptive(
             integrand, 0.0, T, abs_tol=cfg.abs_tol / 2.0,
             max_panels=cfg.max_subdivisions, breakpoints=breakpoints,
         )
-        total_err = err + _tail_bound(T, lam, growth.K, power)
+        hit = (values, err + _tail_bound(T, lam, growth.K, power))
         if len(memo) > _MEMO_LIMIT:
             memo.clear()
-        if len(shared) > _MEMO_LIMIT:
-            shared.clear()
-        memo[z] = (value, total_err)
-        return value, total_err
+        memo[(power, z)] = hit
+        return hit
 
-    return _TransformStem._with_error(
-        evaluate, half_plane(growth.a),
-        lambda: _transform_stem(fn, index, cfg, power + 1, shared),
-        f"L[f_{index}] power {power}",
-    )
+    def stem(m: int) -> _TransformStem:
+        def evaluate_component(z: complex) -> tuple[complex, float]:
+            values, err = evaluate(z)
+            return complex(values[m]), err
+
+        return _TransformStem._with_error(
+            evaluate_component, half_plane(growth.a),
+            lambda: _transform_stems(fn, cfg, power + 1, memo)[m],
+            f"L[f_{m}] power {power}",
+        )
+
+    return [stem(m) for m in range(4)]
 
 
 @dataclass(slots=True)
@@ -202,8 +207,7 @@ class TransformResult:
 
 
 def _transform(fn: TimeDomainFunction, side: Side, cfg: QuadratureConfig) -> TransformResult:
-    shared: dict = {}
-    stems = [_transform_stem(fn, m, cfg, 0, shared) for m in range(4)]
+    stems = _transform_stems(fn, cfg, 0, {})
     return TransformResult(SliceRegularFunction(side, stems, half_plane(fn.growth.a)))
 
 
@@ -356,8 +360,18 @@ CONV_RATE_MARGIN = 0.1
 
 def convolution(f: TimeDomainFunction, g: TimeDomainFunction,
                 cfg: QuadratureConfig = DEFAULT_CONFIG) -> TimeDomainFunction:
-    """The convolution as a TimeDomainFunction with a derived growth certificate."""
+    """The convolution as a TimeDomainFunction with a derived growth certificate.
+
+    The certificate K e^{at} of a product only holds where both factors' do,
+    and the convolution integral reaches back to tau = 0, so both factors
+    must certify their bound for all t > 0 (T = 0); UsageError otherwise.
+    """
     gf, gg = f.growth, g.growth
+    if gf.T > 0.0 or gg.T > 0.0:
+        raise UsageError(
+            "convolution needs growth certificates that hold for all t > 0, "
+            f"got T = {gf.T:g} and T = {gg.T:g}"
+        )
     c = max(gf.a, gg.a)
     K = gf.K * gg.K / (CONV_RATE_MARGIN * math.e)
     cache: dict[float, Quaternion] = {}
@@ -374,7 +388,7 @@ def convolution(f: TimeDomainFunction, g: TimeDomainFunction,
     kinks = sorted({*f.breakpoints, *g.breakpoints,
                     *(bf + bg for bf in f.breakpoints for bg in g.breakpoints)})
     return TimeDomainFunction(
-        evaluate, GrowthBound(c + CONV_RATE_MARGIN, max(K, 1e-300), max(gf.T, gg.T)),
+        evaluate, GrowthBound(c + CONV_RATE_MARGIN, max(K, 1e-300)),
         kinks, Quaternion(),
     )
 

@@ -1,13 +1,14 @@
 """Adaptive panel quadrature with an embedded Gauss-Kronrod error estimate.
 
-The integrand is vector-valued (the real components of a complex or
-quaternion integrand are integrated together); the panel error is the worst
-componentwise deviation between the 15-point Kronrod value and the embedded
-7-point Gauss value.  Breakpoints force panel boundaries so that jump
-discontinuities never sit inside a panel, and the worst panel is bisected
-until the summed error estimate meets the tolerance or the panel budget is
-exhausted.  Splitting decisions depend only on the integrand and the
-interval, so repeated calls are deterministic.
+The integrand is a real or complex vector (the four components of a
+quaternion integrand, or the four complex component transforms of a Laplace
+transform, are integrated together); the panel error is the worst
+componentwise modulus of the deviation between the 15-point Kronrod value
+and the embedded 7-point Gauss value.  Breakpoints force panel boundaries so
+that jump discontinuities never sit inside a panel, and the worst panel is
+bisected until the summed error estimate meets the tolerance or the panel
+budget is exhausted.  Splitting decisions depend only on the integrand and
+the interval, so repeated calls are deterministic.
 """
 
 from __future__ import annotations
@@ -20,30 +21,37 @@ import numpy as np
 from .errors import AccuracyError
 from .quaternion import Quaternion
 
-__all__ = ["integrate_adaptive", "integrate_complex", "integrate_quaternion"]
+__all__ = ["integrate_adaptive", "integrate_quaternion"]
 
 # 15-point Kronrod nodes on [-1, 1] and weights; the 7 Gauss nodes are the
-# odd-indexed entries.  Standard published values.
+# odd-indexed entries.  Full-precision QUADPACK qk15 values: the weights must
+# sum to 2 to the last digit, or every panel carries an error floor
+# proportional to the size of the integrand.
 _XGK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
+    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
+    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
+    -0.586087235467691130294144838258730, -0.405845151377397166906606412076961,
+    -0.207784955007898467600689403773245, 0.0,
+    0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
+    0.586087235467691130294144838258730, 0.741531185599394439863864773280788,
+    0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
+    0.991455371120812639206854697526329,
 ])
 _WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
+    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
+    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970,
 ])
 _WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+    0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
+    0.129484966168869693270611432679082,
 ])
 _GAUSS_INDICES = np.arange(1, 15, 2)
 
@@ -104,18 +112,6 @@ def integrate_adaptive(fn: Callable[[float], np.ndarray], a: float, b: float, *,
         counter += 1
         n_panels += 1
     return total_val, total_err + frozen_err
-
-
-def integrate_complex(fn: Callable[[float], complex], a: float, b: float, *,
-                      abs_tol: float, max_panels: int = 400,
-                      breakpoints: Iterable[float] = ()) -> tuple[complex, float]:
-    def vec(t: float) -> np.ndarray:
-        v = fn(t)
-        return np.array([v.real, v.imag])
-
-    value, err = integrate_adaptive(vec, a, b, abs_tol=abs_tol,
-                                    max_panels=max_panels, breakpoints=breakpoints)
-    return complex(value[0], value[1]), err
 
 
 def integrate_quaternion(fn: Callable[[float], Quaternion], a: float, b: float, *,

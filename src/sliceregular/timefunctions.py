@@ -75,20 +75,6 @@ class TimeDomainFunction:
             growth = estimate_exp_order(evaluator, t_max)
         return cls(evaluator, growth, breakpoints, value_at_zero_plus)
 
-    def component(self, m: int, cache: Optional[dict] = None) -> Callable[[float], float]:
-        """Real component t -> f(t)_m; a shared cache avoids re-evaluating f."""
-        if cache is None:
-            return lambda t: self.evaluator(t).components()[m]
-
-        def evaluate(t: float) -> float:
-            hit = cache.get(t)
-            if hit is None:
-                hit = self.evaluator(t).components()
-                cache[t] = hit
-            return hit[m]
-
-        return evaluate
-
     def initial_value(self) -> Quaternion:
         """f(0+): the supplied value, else Richardson extrapolation from t -> 0+."""
         if self.value_at_zero_plus is not None:
@@ -189,9 +175,12 @@ def heaviside_shifted(inner: TimeDomainFunction, shift: float) -> TimeDomainFunc
             return Quaternion()
         return inner.evaluator(t - shift)
 
+    # 0 before the shift and K e^{a(t - shift)} <= K e^{at} after it, so a
+    # bound holding for all t > 0 still does; otherwise its window moves
+    T = g.T + shift if g.T > 0.0 else 0.0
     breaks = [shift] + [b + shift for b in inner.breakpoints]
     return TimeDomainFunction(
-        evaluate, GrowthBound(g.a, g.K, g.T + shift), breaks, Quaternion()
+        evaluate, GrowthBound(g.a, g.K, T), breaks, Quaternion()
     )
 
 

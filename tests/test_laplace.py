@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sliceregular import quadrature
 from sliceregular.errors import DomainError, UsageError
 from sliceregular.laplace import (
     DEFAULT_CONFIG,
@@ -34,6 +35,7 @@ from sliceregular.quaternion import (
 from sliceregular.regions import half_plane
 from sliceregular.series import Side
 from sliceregular.timefunctions import (
+    GrowthBound,
     TimeDomainFunction,
     constant_function,
     exponential_function,
@@ -392,6 +394,21 @@ class TestConvolution:
         with pytest.raises(UsageError):
             convolve(one, one, -1.0)
 
+    def test_certificate_needs_factor_bounds_for_all_t(self):
+        # f = 1000 on [0, 1) and 1 after, certified only past T = 1: the
+        # product of the factors' K would give 4.49 at t = 2, not 1001
+        f = TimeDomainFunction(lambda t: ONE * (1000.0 if t < 1.0 else 1.0),
+                               GrowthBound(0.0, 1.0, 1.0), [1.0])
+        one = constant_function(ONE)
+        with pytest.raises(UsageError):
+            convolution(f, one)
+        # a shifted factor is 0 before its shift, so its bound holds for all t > 0
+        shifted = heaviside_shifted(one, 1.0)
+        c = convolution(shifted, one)
+        assert shifted.growth.T == 0.0 and c.growth.T == 0.0
+        for t in (0.5, 2.0, 8.0):
+            assert c(t).norm() <= c.growth.K * math.exp(c.growth.a * t)
+
 
 class TestDuality:
     def test_real_input_tiny_residual(self, rng):
@@ -456,27 +473,51 @@ def _rules(F, G):
     }
 
 
+#: probes relative to the edge Re s = Re b of the half-plane of e^{bt}
 ERROR_PROBES = (Quaternion(1, 2, 0, 0), slice_embed(0.7, 1.3, J),
-                Quaternion(2.5, 0.3, -0.4, 0.5), Quaternion.real(1.5))
+                Quaternion(2.5, 0.3, -0.4, 0.5), Quaternion.real(1.5),
+                Quaternion.real(0.1))
 
 
 class TestErrorPropagation:
-    def test_bound_covers_distance_to_closed_form(self):
-        f = exponential_function(J)
+    @pytest.mark.parametrize("b", [J, Quaternion(0.3, 0.5, -0.7, 0.2)], ids=["J", "mixed"])
+    def test_bound_covers_distance_to_closed_form(self, b):
+        f = exponential_function(b)
         F = laplace_left(f)
-        C = exp_transform_closed_form(J, Side.LEFT)
+        C = exp_transform_closed_form(b, Side.LEFT)
         pairs = {"left": (F, C),
-                 "right": (laplace_right(f), exp_transform_closed_form(J, Side.RIGHT)),
+                 "right": (laplace_right(f), exp_transform_closed_form(b, Side.RIGHT)),
                  "convolution": (laplace_of_convolution(f, f).via_product, C.fn.star(C.fn))}
         approx_rules, closed_rules = _rules(F, C), _rules(C, C)
         pairs.update({name: (approx_rules[name], closed_rules[name]) for name in approx_rules})
         for name, (approx, closed) in pairs.items():
-            for s in ERROR_PROBES:
+            for s in (p + Quaternion.real(b.w) for p in ERROR_PROBES):
                 value, bound = approx.evaluate_with_error(s)
                 assert value == approx.evaluate(s), name
                 exact = closed.evaluate(s)
                 assert (value - exact).norm() <= bound, name
                 assert closed.evaluate_with_error(s) == (exact, 0.0), name
+
+
+class TestOneQuadraturePerPoint:
+    def test_derivatives_and_star_products_share_the_memo(self, monkeypatch):
+        calls = []
+        integrate = quadrature.integrate_adaptive
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_adaptive", counted)
+        F = laplace_left(exponential_function(J))
+        s = Quaternion(1, 2, 0, 0)
+        per_result = []
+        for result in (F, F, derivative_of_transform(F, 1), derivative_of_transform(F, 2),
+                       F.fn.star(F.fn)):
+            before = len(calls)
+            result.evaluate(s)
+            per_result.append(len(calls) - before)
+        assert per_result == [1, 0, 1, 1, 0]
 
 
 class TestLifetime:

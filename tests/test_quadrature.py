@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sliceregular.errors import AccuracyError
-from sliceregular.quadrature import integrate_adaptive, integrate_complex, integrate_quaternion
+from sliceregular.laplace import convolve
+from sliceregular.quadrature import integrate_adaptive, integrate_quaternion
 from sliceregular.quaternion import I, ONE, Quaternion
+from sliceregular.timefunctions import constant_function
 
 from conftest import assert_qclose
 
@@ -41,10 +43,15 @@ def test_budget_exhaustion_carries_achieved_bound():
     assert info.value.achieved > 0
 
 
-def test_complex_wrapper():
-    value, _ = integrate_complex(lambda t: complex(math.cos(t), math.sin(t)),
-                                 0.0, math.pi / 2, abs_tol=1e-12)
-    assert abs(value - complex(1.0, 1.0)) < 1e-13
+def test_large_constant_has_no_weight_error_floor():
+    # truncated Kronrod weights leave an error floor proportional to |f|
+    value, err = integrate_adaptive(lambda t: np.array([1e6]), 0.0, 1.0, abs_tol=1e-10)
+    assert value[0] == 1e6 and err <= 1e-10
+
+
+def test_convolve_large_constant():
+    big, one = constant_function(Quaternion.real(1e6)), constant_function(ONE)
+    assert convolve(big, one, 1.0) == Quaternion.real(1e6)
 
 
 def test_quaternion_wrapper():
