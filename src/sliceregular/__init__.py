@@ -65,9 +65,8 @@ from .timefunctions import (
 )
 from .laplace import (
     ConvolutionTransform,
-    DEFAULT_CONFIG,
+    DEFAULT_ABS_TOL,
     DualityReport,
-    QuadratureConfig,
     TransformResult,
     convolution,
     convolve,

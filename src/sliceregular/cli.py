@@ -12,7 +12,8 @@ Subcommands:
 Probe files are JSON: {"points": [[w,x,y,z], ...]} or
 {"grid": {"re": [start, stop, n], "units": ["i", "j", [0,x,y,z]],
 "im": [start, stop, n]}}; grids expand in canonical order (real part
-ascending, units as declared, imaginary part ascending).  Exit codes: 0 ok,
+ascending, units as declared, imaginary part ascending).  Each command takes
+only the options it reads; --tol must be positive.  Exit codes: 0 ok,
 1 accuracy or property failure, 2 usage error.
 """
 
@@ -27,7 +28,7 @@ from typing import Optional
 import click
 
 from .errors import AccuracyError, DomainError, SliceRegularError, UsageError
-from .laplace import QuadratureConfig, exp_transform_closed_form, laplace_left, laplace_right
+from .laplace import DEFAULT_ABS_TOL, exp_transform_closed_form, laplace_left, laplace_right
 from .quaternion import I, J, K, Quaternion, quat_from_list, slice_embed, unit_imaginary
 from .series import RegularSeries, Side
 from .slicefn import cauchy_kernel, cauchy_kernel_right, exp_function
@@ -160,22 +161,31 @@ def _reports_errors(command):
     return run
 
 
-def _io_options(fn):
-    for option in reversed([
-        click.option("--input", "input_", metavar="FILE|JSON", default=None,
-                     help="input spec, as a file path or inline JSON"),
-        click.option("--probes", metavar="FILE|JSON", default=None,
-                     help="probe points or grid, as a file path or inline JSON"),
-        click.option("--tol", type=float, default=None, help="accuracy target"),
-        click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                     default="json", help="output format"),
-        click.option("--seed", type=int, default=0,
-                     help="seed for randomized property suites"),
-        click.option("--out", type=click.Path(), default=None,
-                     help="output file (default: stdout)"),
-    ]):
-        fn = option(fn)
-    return fn
+_OPTIONS = {
+    "input": click.option("--input", "input_", metavar="FILE|JSON", default=None,
+                          help="input spec, as a file path or inline JSON"),
+    "probes": click.option("--probes", metavar="FILE|JSON", default=None,
+                           help="probe points or grid, as a file path or inline JSON"),
+    "tol": click.option("--tol", type=click.FloatRange(min=0.0, min_open=True),
+                        default=None, help="accuracy target"),
+    "format": click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
+                           default="json", help="output format"),
+    "seed": click.option("--seed", type=int, default=0,
+                         help="seed for randomized property suites"),
+    "out": click.option("--out", type=click.Path(), default=None,
+                        help="output file (default: stdout)"),
+}
+
+
+def _options(*names: str):
+    """Declare the named options of _OPTIONS, in the order given."""
+
+    def decorate(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return fn
+
+    return decorate
 
 
 @click.group()
@@ -184,9 +194,9 @@ def cli():
 
 
 @cli.command()
-@_io_options
+@_options("input", "probes", "tol", "format", "out")
 @_reports_errors
-def transform(input_, probes, tol, fmt, seed, out):
+def transform(input_, probes, tol, fmt, out):
     """Evaluate the Laplace transform of a time function at probe points.
 
     The input JSON describes the time function ({"kind": "exp", "b": [...]},
@@ -202,8 +212,8 @@ def transform(input_, probes, tol, fmt, seed, out):
     except ValueError as exc:
         raise UsageError(f"side must be 'left' or 'right', got {side_name!r}") from exc
     fn = time_function_from_json(spec)
-    cfg = QuadratureConfig(abs_tol=tol) if tol else QuadratureConfig()
-    result = laplace_left(fn, cfg) if side is Side.LEFT else laplace_right(fn, cfg)
+    abs_tol = DEFAULT_ABS_TOL if tol is None else tol
+    result = laplace_left(fn, abs_tol) if side is Side.LEFT else laplace_right(fn, abs_tol)
     points = _parse_probes(probes)
 
     def record(s: Quaternion) -> dict:
@@ -220,9 +230,9 @@ def transform(input_, probes, tol, fmt, seed, out):
 
 
 @cli.command()
-@_io_options
+@_options("input", "probes", "format", "out")
 @_reports_errors
-def regprod(input_, probes, tol, fmt, seed, out):
+def regprod(input_, probes, fmt, out):
     """Star-multiply two series: input JSON {"f": <series>, "g": <series>}.
 
     A series is {"side": "left"|"right", "coeffs": [[w,x,y,z], ...]}.  Emits
@@ -247,9 +257,9 @@ def regprod(input_, probes, tol, fmt, seed, out):
 
 
 @cli.command("eval")
-@_io_options
+@_options("input", "probes", "format", "out")
 @_reports_errors
-def eval_series(input_, probes, tol, fmt, seed, out):
+def eval_series(input_, probes, fmt, out):
     """Evaluate a series (side-aware Horner) at probe points."""
     spec = _load_spec(input_, "eval")
     if not isinstance(spec, dict):
@@ -267,12 +277,10 @@ def eval_series(input_, probes, tol, fmt, seed, out):
 
 @cli.command()
 @click.argument("suite", type=str)
-@_io_options
+@_options("tol", "format", "seed", "out")
 @_reports_errors
-def verify(suite, input_, probes, tol, fmt, seed, out):
+def verify(suite, tol, fmt, seed, out):
     """Run a named property suite; exit 0 iff every property passes."""
-    if tol is not None and tol <= 0:
-        raise UsageError("--tol must be positive")
     checks = run_suite(suite, seed=seed, tol=tol)
     records = [c.to_json_dict() for c in checks]
     _emit(records, fmt, out, {"suite": suite, "seed": seed})
@@ -289,9 +297,9 @@ _TABLE_BUILTINS = ("exp", "cauchy_kernel", "cauchy_kernel_right", "exp_transform
 
 
 @cli.command()
-@_io_options
+@_options("input", "probes", "format", "out")
 @_reports_errors
-def table(input_, probes, tol, fmt, seed, out):
+def table(input_, probes, fmt, out):
     """Tabulate a built-in function on a probe grid.
 
     Inputs: {"function": "exp"} | {"function": "cauchy_kernel", "s": [...]}

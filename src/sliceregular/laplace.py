@@ -7,8 +7,10 @@ tensor form: that is exactly how the engine evaluates.  The four share the
 kernel e^{-tz}, so at each point one adaptive panel quadrature of a complex
 4-vector computes them together and evaluates f once per node.  It
 truncates the half-line at a point T* where the analytic tail bound
-K e^{(a - Re s) T*} terms fall below half the tolerance budget, and spends
-the other half on the panels of [0, T*].
+K e^{(a - Re s) T*} terms falls below half the tolerance abs_tol (with a
+safety factor of 10), and spends the other half on the panels of [0, T*].
+Each component stem reports its own quadrature error plus the tail bound.
+abs_tol is the only accuracy setting; the panel budget is fixed.
 
 Results are slice regular functions of s on the half-plane Re(s) > a, so the
 whole operational calculus (shifts, derivative and integral rules, the
@@ -22,20 +24,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import quadrature
 from .errors import DomainError, UsageError
 from .quaternion import Quaternion
-from .quadrature import integrate_quaternion
 from .regions import Region, half_plane
 from .series import Side
 from .slicefn import SliceRegularFunction
 from .stems import (
     IntrinsicStem,
-    constant_stem,
     exp_decay_stem,
     polynomial_stem,
     rational_stem,
@@ -49,8 +50,7 @@ from .stems import (
 from .timefunctions import GrowthBound, TimeDomainFunction, estimate_exp_order
 
 __all__ = [
-    "QuadratureConfig",
-    "DEFAULT_CONFIG",
+    "DEFAULT_ABS_TOL",
     "TransformResult",
     "laplace_left",
     "laplace_right",
@@ -71,31 +71,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class QuadratureConfig:
-    """Accuracy knobs for transform evaluation.
+#: absolute error budget of a transform evaluation or a convolution
+DEFAULT_ABS_TOL = 1e-10
 
-    abs_tol is the absolute error budget of each component of a joint
-    transform evaluation; half of it is reserved for the truncated tail,
-    further divided by tail_safety.
-    """
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 400
-    tail_safety: float = 10.0
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise UsageError("abs_tol must be positive")
-        if self.max_subdivisions < 4:
-            raise UsageError("max_subdivisions must be at least 4")
-        if self.tail_safety < 1.0:
-            raise UsageError("tail_safety must be >= 1")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# the tail gets half of abs_tol, divided by this factor
+_TAIL_SAFETY = 10.0
 
 _MEMO_LIMIT = 50_000
+
+
+def _check_tol(abs_tol: float) -> None:
+    if abs_tol <= 0:
+        raise UsageError("abs_tol must be positive")
 
 
 def _tail_bound(T: float, lam: float, K: float, power: int) -> float:
@@ -108,8 +95,8 @@ def _tail_bound(T: float, lam: float, K: float, power: int) -> float:
 
 
 def _truncation_point(growth: GrowthBound, breakpoints: Sequence[float],
-                      lam: float, power: int, cfg: QuadratureConfig) -> float:
-    target = cfg.abs_tol / (2.0 * cfg.tail_safety)
+                      lam: float, power: int, abs_tol: float) -> float:
+    target = abs_tol / (2.0 * _TAIL_SAFETY)
     T = max(growth.T, max(breakpoints, default=0.0), 1.0)
     for _ in range(200):
         if _tail_bound(T, lam, growth.K, power) <= target:
@@ -127,20 +114,21 @@ class _TransformStem(IntrinsicStem):
     __slots__ = ()
 
 
-def _transform_stems(fn: TimeDomainFunction, cfg: QuadratureConfig, power: int,
+def _transform_stems(fn: TimeDomainFunction, abs_tol: float, power: int,
                      memo: dict) -> list[_TransformStem]:
     """The four stems of integral(e^{-tz} (-t)^power f(t) dt), one per component.
 
     That is the power-th derivative of the transform, so the derivative chain
     just bumps the power.  One quadrature per (power, z) integrates all four
     components into the transform's only memo (value-identical, so the memo
-    is observably absent), and stem m reads component m.  The closures hold
-    the memo but never a stem, so it is freed with the stems.
+    is observably absent), and stem m reads component m and its own error.
+    The closures hold the memo but never a stem, so it is freed with the
+    stems.
     """
     growth = fn.growth
     breakpoints = fn.breakpoints
 
-    def evaluate(z: complex) -> tuple[np.ndarray, float]:
+    def evaluate(z: complex) -> tuple[np.ndarray, np.ndarray]:
         hit = memo.get((power, z))
         if hit is not None:
             return hit
@@ -149,16 +137,15 @@ def _transform_stems(fn: TimeDomainFunction, cfg: QuadratureConfig, power: int,
             raise DomainError(
                 f"transform evaluation needs Re(s) > {growth.a:g}, got {z.real:g}"
             )
-        T = _truncation_point(growth, breakpoints, lam, power, cfg)
+        T = _truncation_point(growth, breakpoints, lam, power, abs_tol)
 
         def integrand(t: float) -> np.ndarray:
             return cmath.exp(-t * z) * (-t) ** power * np.array(fn.evaluator(t).components())
 
-        values, err = quadrature.integrate_adaptive(
-            integrand, 0.0, T, abs_tol=cfg.abs_tol / 2.0,
-            max_panels=cfg.max_subdivisions, breakpoints=breakpoints,
+        values, errs = quadrature.integrate_adaptive(
+            integrand, 0.0, T, abs_tol=abs_tol / 2.0, breakpoints=breakpoints,
         )
-        hit = (values, err + _tail_bound(T, lam, growth.K, power))
+        hit = (values, errs + _tail_bound(T, lam, growth.K, power))
         if len(memo) > _MEMO_LIMIT:
             memo.clear()
         memo[(power, z)] = hit
@@ -166,12 +153,12 @@ def _transform_stems(fn: TimeDomainFunction, cfg: QuadratureConfig, power: int,
 
     def stem(m: int) -> _TransformStem:
         def evaluate_component(z: complex) -> tuple[complex, float]:
-            values, err = evaluate(z)
-            return complex(values[m]), err
+            values, errs = evaluate(z)
+            return complex(values[m]), float(errs[m])
 
         return _TransformStem._with_error(
             evaluate_component, half_plane(growth.a),
-            lambda: _transform_stems(fn, cfg, power + 1, memo)[m],
+            lambda: _transform_stems(fn, abs_tol, power + 1, memo)[m],
             f"L[f_{m}] power {power}",
         )
 
@@ -206,24 +193,25 @@ class TransformResult:
         return TransformResult(SliceRegularFunction(self.side, stems, dom))
 
 
-def _transform(fn: TimeDomainFunction, side: Side, cfg: QuadratureConfig) -> TransformResult:
-    stems = _transform_stems(fn, cfg, 0, {})
+def _transform(fn: TimeDomainFunction, side: Side, abs_tol: float) -> TransformResult:
+    _check_tol(abs_tol)
+    stems = _transform_stems(fn, abs_tol, 0, {})
     return TransformResult(SliceRegularFunction(side, stems, half_plane(fn.growth.a)))
 
 
-def laplace_left(fn: TimeDomainFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> TransformResult:
+def laplace_left(fn: TimeDomainFunction, abs_tol: float = DEFAULT_ABS_TOL) -> TransformResult:
     """Left transform integral(e^{-ts} f(t) dt); left regular on Re(s) > a.
 
     Right H-linear in f; restricted to a slice it is the classical complex
     transform of each real component.
     """
-    return _transform(fn, Side.LEFT, cfg)
+    return _transform(fn, Side.LEFT, abs_tol)
 
 
-def laplace_right(fn: TimeDomainFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> TransformResult:
+def laplace_right(fn: TimeDomainFunction, abs_tol: float = DEFAULT_ABS_TOL) -> TransformResult:
     """Right transform integral(f(t) e^{-ts} dt); coincides with the left one
     for real-valued f."""
-    return _transform(fn, Side.RIGHT, cfg)
+    return _transform(fn, Side.RIGHT, abs_tol)
 
 
 def exp_transform_closed_form(b: Quaternion, side: Side) -> TransformResult:
@@ -269,14 +257,7 @@ def heaviside_shift(F: TransformResult, a_shift: float) -> TransformResult:
 
 def transform_of_derivative(F: TransformResult, f0plus: Quaternion) -> TransformResult:
     """Transform of f'(t): s F(s) - f(0+), the power of s acting on the left."""
-    if F.side is not Side.LEFT:
-        raise UsageError("the derivative rule is stated for left transforms")
-    c = f0plus.components()
-    stems = [
-        stem_sum(stem_mul_z(stem), constant_stem(-c[m], F.domain))
-        for m, stem in enumerate(F.fn.stems)
-    ]
-    return F._wrap(stems)
+    return transform_of_nth_derivative(F, [f0plus])
 
 
 def transform_of_nth_derivative(F: TransformResult,
@@ -309,7 +290,7 @@ def derivative_of_transform(F: TransformResult, n: int) -> TransformResult:
     """Transform of t^n f(t): (-1)^n times the n-th slice derivative of F.
 
     Uses the analytic derivative chain of the stems; raises CapabilityError
-    if a stem cannot be differentiated analytically.
+    if a stem has no analytic derivative.
     """
     if n < 0:
         raise UsageError("derivative order must be non-negative")
@@ -319,7 +300,7 @@ def derivative_of_transform(F: TransformResult, n: int) -> TransformResult:
     for stem in F.fn.stems:
         d = stem
         for _ in range(n):
-            d = d.derivative_stem(None)
+            d = d.derivative_stem()
         stems.append(d if n % 2 == 0 else stem_scale(-1.0, d))
     return F._wrap(stems)
 
@@ -335,8 +316,9 @@ def transform_of_integral(F: TransformResult) -> TransformResult:
 
 
 def convolve(f: TimeDomainFunction, g: TimeDomainFunction, t: float,
-             cfg: QuadratureConfig = DEFAULT_CONFIG) -> Quaternion:
+             abs_tol: float = DEFAULT_ABS_TOL) -> Quaternion:
     """(f o g)(t) = integral(f(t - tau) g(tau) d tau, tau=0..t); order matters."""
+    _check_tol(abs_tol)
     if t < 0:
         raise UsageError("convolution is defined for t >= 0")
     if t == 0.0:
@@ -344,14 +326,13 @@ def convolve(f: TimeDomainFunction, g: TimeDomainFunction, t: float,
     breaks = {b for b in g.breakpoints if 0.0 < b < t}
     breaks.update(t - b for b in f.breakpoints if 0.0 < t - b < t)
 
-    def integrand(tau: float) -> Quaternion:
-        return f.evaluator(t - tau) * g.evaluator(tau)
+    def integrand(tau: float) -> np.ndarray:
+        return np.array((f.evaluator(t - tau) * g.evaluator(tau)).components())
 
-    value, _ = integrate_quaternion(
-        integrand, 0.0, t, abs_tol=cfg.abs_tol,
-        max_panels=cfg.max_subdivisions, breakpoints=sorted(breaks),
+    value, _ = quadrature.integrate_adaptive(
+        integrand, 0.0, t, abs_tol=abs_tol, breakpoints=sorted(breaks),
     )
-    return value
+    return Quaternion(*(float(c) for c in value))
 
 
 #: extra exponential rate granted to a convolution (it gains a factor of t)
@@ -359,13 +340,14 @@ CONV_RATE_MARGIN = 0.1
 
 
 def convolution(f: TimeDomainFunction, g: TimeDomainFunction,
-                cfg: QuadratureConfig = DEFAULT_CONFIG) -> TimeDomainFunction:
+                abs_tol: float = DEFAULT_ABS_TOL) -> TimeDomainFunction:
     """The convolution as a TimeDomainFunction with a derived growth certificate.
 
     The certificate K e^{at} of a product only holds where both factors' do,
     and the convolution integral reaches back to tau = 0, so both factors
     must certify their bound for all t > 0 (T = 0); UsageError otherwise.
     """
+    _check_tol(abs_tol)
     gf, gg = f.growth, g.growth
     if gf.T > 0.0 or gg.T > 0.0:
         raise UsageError(
@@ -379,7 +361,7 @@ def convolution(f: TimeDomainFunction, g: TimeDomainFunction,
     def evaluate(t: float) -> Quaternion:
         hit = cache.get(t)
         if hit is None:
-            hit = convolve(f, g, t, cfg)
+            hit = convolve(f, g, t, abs_tol)
             if len(cache) > _MEMO_LIMIT:
                 cache.clear()
             cache[t] = hit
@@ -393,20 +375,35 @@ def convolution(f: TimeDomainFunction, g: TimeDomainFunction,
     )
 
 
-@dataclass(slots=True)
 class ConvolutionTransform:
     """Transform of a convolution, carried by its two lawful evaluators.
 
-    `via_product` is the star product of the factor transforms; `direct` is
-    the quadrature transform of the convolution itself.  They agree on the
-    common half-plane (the direct route needs a slightly larger real part
-    because the convolution's certificate pays a rate margin).
+    `via_product` is the star product of the factor transforms and serves
+    `evaluate`; `direct` is the quadrature transform of the convolution
+    itself, built on first use and kept (its convolution caches values by t).
+    They agree on the common half-plane (the direct route needs a slightly
+    larger real part because the convolution's certificate pays a rate
+    margin).  Building `direct` raises UsageError for factors whose growth
+    certificates do not hold for all t > 0; `via_product` needs no such
+    certificate.
     """
 
-    via_product: TransformResult
-    direct: TransformResult
-    domain: Region
-    side: Side
+    def __init__(self, via_product: TransformResult,
+                 build_direct: Callable[[], TransformResult]):
+        self.via_product = via_product
+        self._build_direct = build_direct
+
+    @cached_property
+    def direct(self) -> TransformResult:
+        return self._build_direct()
+
+    @property
+    def domain(self) -> Region:
+        return self.via_product.domain
+
+    @property
+    def side(self) -> Side:
+        return self.via_product.side
 
     def evaluate(self, s) -> Quaternion:
         return self.via_product.evaluate(s)
@@ -423,19 +420,18 @@ class ConvolutionTransform:
 
 
 def laplace_of_convolution(f: TimeDomainFunction, g: TimeDomainFunction,
-                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> ConvolutionTransform:
+                           abs_tol: float = DEFAULT_ABS_TOL) -> ConvolutionTransform:
     """Convolution theorem: the transform of f o g is the star product F * G.
 
     At real s > max(a, b) this reduces to the pointwise product F(s) G(s).
     """
-    F = laplace_left(f, cfg)
-    G = laplace_left(g, cfg)
-    c = max(f.growth.a, g.growth.a)
-    dom = half_plane(c)
+    F = laplace_left(f, abs_tol)
+    G = laplace_left(g, abs_tol)
+    dom = half_plane(max(f.growth.a, g.growth.a))
     product_fn = F.fn.star(G.fn)
     via_product = TransformResult(SliceRegularFunction(Side.LEFT, product_fn.stems, dom))
-    direct = laplace_left(convolution(f, g, cfg), cfg)
-    return ConvolutionTransform(via_product, direct, dom, Side.LEFT)
+    return ConvolutionTransform(
+        via_product, lambda: laplace_left(convolution(f, g, abs_tol), abs_tol))
 
 
 # -- duality -----------------------------------------------------------------------
@@ -454,17 +450,17 @@ class DualityReport:
 
 
 def reflection_duality_check(f: TimeDomainFunction, probes: Sequence[Quaternion],
-                             cfg: QuadratureConfig = DEFAULT_CONFIG) -> DualityReport:
+                             abs_tol: float = DEFAULT_ABS_TOL) -> DualityReport:
     """Check reflect(L_left f) = L_right(conj f) and its mirror at the probes.
 
     For real-valued f both sides collapse to the same transform and the
     residual is bounded by twice the quadrature tolerance.
     """
     fbar = f.conjugated()
-    left = laplace_left(f, cfg).fn.reflect()
-    right_of_conj = laplace_right(fbar, cfg)
-    right = laplace_right(f, cfg).fn.reflect()
-    left_of_conj = laplace_left(fbar, cfg)
+    left = laplace_left(f, abs_tol).fn.reflect()
+    right_of_conj = laplace_right(fbar, abs_tol)
+    right = laplace_right(f, abs_tol).fn.reflect()
+    left_of_conj = laplace_left(fbar, abs_tol)
     r1 = max((left.evaluate(s) - right_of_conj.evaluate(s)).norm() for s in probes)
     r2 = max((right.evaluate(s) - left_of_conj.evaluate(s)).norm() for s in probes)
     return DualityReport(r1, r2)

@@ -2,13 +2,14 @@
 
 The integrand is a real or complex vector (the four components of a
 quaternion integrand, or the four complex component transforms of a Laplace
-transform, are integrated together); the panel error is the worst
+transform, are integrated together).  Each panel's error estimate is the
 componentwise modulus of the deviation between the 15-point Kronrod value
 and the embedded 7-point Gauss value.  Breakpoints force panel boundaries so
-that jump discontinuities never sit inside a panel, and the worst panel is
-bisected until the summed error estimate meets the tolerance or the panel
-budget is exhausted.  Splitting decisions depend only on the integrand and
-the interval, so repeated calls are deterministic.
+that jump discontinuities never sit inside a panel, and the panel with the
+worst component is bisected until the sum of the panels' worst components
+meets the tolerance or the panel budget is exhausted; the result carries
+each component's own summed error.  Splitting decisions depend only on the
+integrand and the interval, so repeated calls are deterministic.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import AccuracyError
-from .quaternion import Quaternion
 
-__all__ = ["integrate_adaptive", "integrate_quaternion"]
+__all__ = ["integrate_adaptive"]
 
 # 15-point Kronrod nodes on [-1, 1] and weights; the 7 Gauss nodes are the
 # odd-indexed entries.  Full-precision QUADPACK qk15 values: the weights must
@@ -56,70 +56,70 @@ _WG = np.array([
 _GAUSS_INDICES = np.arange(1, 15, 2)
 
 
-def _gk15(fn: Callable[[float], np.ndarray], a: float, b: float) -> tuple[np.ndarray, float]:
+def _gk15(fn: Callable[[float], np.ndarray], a: float,
+          b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod value and componentwise |Kronrod - Gauss| of one panel."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     values = np.array([fn(mid + half * x) for x in _XGK])
     kronrod = half * np.tensordot(_WGK, values, axes=(0, 0))
     gauss = half * np.tensordot(_WG, values[_GAUSS_INDICES], axes=(0, 0))
-    err = float(np.max(np.abs(kronrod - gauss))) if kronrod.size else 0.0
-    return kronrod, err
+    return kronrod, np.abs(kronrod - gauss)
+
+
+def _worst(errs: np.ndarray) -> float:
+    return float(np.max(errs)) if errs.size else 0.0
 
 
 def integrate_adaptive(fn: Callable[[float], np.ndarray], a: float, b: float, *,
                        abs_tol: float, max_panels: int = 400,
-                       breakpoints: Iterable[float] = ()) -> tuple[np.ndarray, float]:
+                       breakpoints: Iterable[float] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a vector-valued integrand over [a, b].
 
-    Returns (value, summed error estimate); raises AccuracyError carrying the
-    achieved bound when the panel budget runs out first.
+    Returns (value, componentwise summed error estimate); raises
+    AccuracyError carrying the achieved bound (the summed worst components)
+    when the panel budget runs out first.
     """
     if b <= a:
         probe = np.asarray(fn(a))
-        return np.zeros_like(probe), 0.0
+        return np.zeros_like(probe), np.zeros(probe.shape)
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
     counter = 0
-    heap: list[tuple[float, float, int, float, np.ndarray, float]] = []
+    heap: list[tuple[float, float, int, float, np.ndarray, np.ndarray]] = []
     total_err = 0.0
     total_val: np.ndarray | None = None
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk15(fn, lo, hi)
+        val, errs = _gk15(fn, lo, hi)
+        err = _worst(errs)
         total_val = val if total_val is None else total_val + val
         total_err += err
-        heapq.heappush(heap, (-err, lo, counter, hi, val, err))
+        heapq.heappush(heap, (-err, lo, counter, hi, val, errs))
         counter += 1
     n_panels = len(edges) - 1
     min_width = 1e-12 * (b - a + 1.0)
     frozen_err = 0.0
+    frozen = []
     while total_err + frozen_err > abs_tol and heap:
         if n_panels >= max_panels:
             raise AccuracyError("quadrature subdivision budget exhausted",
                                 achieved=total_err + frozen_err)
-        neg_err, lo, _, hi, val, err = heapq.heappop(heap)
+        neg_err, lo, _, hi, val, errs = heapq.heappop(heap)
+        err = -neg_err
         if hi - lo < min_width:
             # cannot refine further; count its error as irreducible
             frozen_err += err
             total_err -= err
+            frozen.append(errs)
             continue
         mid = 0.5 * (lo + hi)
-        lval, lerr = _gk15(fn, lo, mid)
-        rval, rerr = _gk15(fn, mid, hi)
+        lval, lerrs = _gk15(fn, lo, mid)
+        rval, rerrs = _gk15(fn, mid, hi)
+        lerr, rerr = _worst(lerrs), _worst(rerrs)
         total_val = total_val - val + lval + rval
         total_err = total_err - err + lerr + rerr
-        heapq.heappush(heap, (-lerr, lo, counter, mid, lval, lerr))
+        heapq.heappush(heap, (-lerr, lo, counter, mid, lval, lerrs))
         counter += 1
-        heapq.heappush(heap, (-rerr, mid, counter, hi, rval, rerr))
+        heapq.heappush(heap, (-rerr, mid, counter, hi, rval, rerrs))
         counter += 1
         n_panels += 1
-    return total_val, total_err + frozen_err
-
-
-def integrate_quaternion(fn: Callable[[float], Quaternion], a: float, b: float, *,
-                         abs_tol: float, max_panels: int = 400,
-                         breakpoints: Iterable[float] = ()) -> tuple[Quaternion, float]:
-    def vec(t: float) -> np.ndarray:
-        return np.array(fn(t).components())
-
-    value, err = integrate_adaptive(vec, a, b, abs_tol=abs_tol,
-                                    max_panels=max_panels, breakpoints=breakpoints)
-    return Quaternion(*(float(c) for c in value)), err
+    return total_val, sum(frozen + [entry[-1] for entry in heap])

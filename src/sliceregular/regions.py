@@ -35,9 +35,6 @@ class Region:
         lo, hi = self.bounds
         return lo < r < hi
 
-    def contains_z(self, z: complex) -> bool:
-        return self.contains(z.real, z.imag)
-
     def intersect(self, other: "Region") -> "Region":
         """Largest common descriptor of like kinds; conservative across kinds."""
         a, b = self, other

@@ -12,7 +12,7 @@ multiplication table.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, StemSymmetryError, UsageError
 from .quaternion import (
@@ -25,7 +25,6 @@ from .regions import Region, annulus
 from .series import RegularSeries, Side
 from .stems import (
     ENTIRE,
-    NUMERIC_STEP,
     IntrinsicStem,
     constant_stem,
     exp_stem,
@@ -65,6 +64,9 @@ def _structure_table() -> list[list[tuple[int, float]]]:
 
 
 _STRUCTURE = _structure_table()
+
+# largest reflection-symmetry defect extend_intrinsic accepts at its probes
+_SYMMETRY_TOL = 1e-9
 
 
 class SliceRegularFunction:
@@ -108,14 +110,6 @@ class SliceRegularFunction:
             total = total + (slice_value * base if self.side is Side.LEFT else base * slice_value)
         return total, err
 
-    def restrict_to_slice(self, unit: Quaternion) -> Callable[[complex], Quaternion]:
-        """The restriction z -> f(x + unit*y) as a map of one complex variable."""
-
-        def restriction(z: complex) -> Quaternion:
-            return self._assemble(z, unit)[0]
-
-        return restriction
-
     # -- algebra ---------------------------------------------------------------
 
     def star(self, other: "SliceRegularFunction") -> "SliceRegularFunction":
@@ -158,19 +152,17 @@ class SliceRegularFunction:
             self.domain,
         )
 
-    def slice_derivative(self, allow_numeric: bool = True,
-                         numeric_step: float = NUMERIC_STEP,
-                         force_numeric: bool = False) -> "SliceRegularFunction":
-        """Componentwise stem derivative; numeric differentiation is opt-out.
+    def slice_derivative(self, numeric_step: Optional[float] = None) -> "SliceRegularFunction":
+        """Componentwise stem derivative.
 
-        force_numeric ignores analytic derivative chains, which is useful
-        when the numeric route serves as an independent cross-check.
+        Analytic by default (CapabilityError if a stem has no derivative);
+        with a numeric_step, the 4-point central difference of every stem,
+        which serves as an independent cross-check of the analytic chain.
         """
-        if force_numeric:
-            stems = [numeric_derivative_stem(s, numeric_step) for s in self.stems]
+        if numeric_step is None:
+            stems = [s.derivative_stem() for s in self.stems]
         else:
-            step = numeric_step if allow_numeric else None
-            stems = [s.derivative_stem(step) for s in self.stems]
+            stems = [numeric_derivative_stem(s, numeric_step) for s in self.stems]
         return SliceRegularFunction(self.side, stems, self.domain)
 
 
@@ -187,18 +179,17 @@ def _symmetry_probes(domain: Region) -> list[complex]:
     return points or [complex(0.5 * (lo + hi), 0.0)]
 
 
-def extend_intrinsic(stem: IntrinsicStem, side: Side = Side.LEFT,
-                     symmetry_tol: float = 1e-9) -> SliceRegularFunction:
+def extend_intrinsic(stem: IntrinsicStem, side: Side = Side.LEFT) -> SliceRegularFunction:
     """Extend an intrinsic complex stem to the intrinsic slice regular function.
 
     The resulting function is slice-preserving and fixed by the reflection
-    involution; a stem violating the reflection symmetry beyond
-    `symmetry_tol` at the probe points is rejected.
+    involution; a stem violating the reflection symmetry by more than 1e-9
+    at the probe points is rejected.
     """
     defect = symmetry_defect(stem, _symmetry_probes(stem.domain))
-    if defect > symmetry_tol:
+    if defect > _SYMMETRY_TOL:
         raise StemSymmetryError(
-            f"stem violates f(conj z) = conj(f(z)) by {defect:.3e} (tol {symmetry_tol:.1e})"
+            f"stem violates f(conj z) = conj(f(z)) by {defect:.3e} (tol {_SYMMETRY_TOL:.1e})"
         )
     zero = constant_stem(0.0, stem.domain)
     return SliceRegularFunction(side, (stem, zero, zero, zero), stem.domain)

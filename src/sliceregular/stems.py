@@ -4,14 +4,16 @@ A stem is a holomorphic evaluator on an axially symmetric complex region
 satisfying the reflection symmetry f(conj z) = conj(f(z)) (equivalently, a
 power series with real coefficients).  Stems are callables plus an optional
 analytic derivative; there is no symbolic layer, because transform stems are
-defined by quadrature and are only evaluable.
+defined by quadrature and are only evaluable.  Differentiation is analytic
+only: a missing derivative is a CapabilityError, and the numeric
+difference quotient is a separate, explicit stem.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import CapabilityError, PoleError, UsageError
 from .regions import Region, disk
@@ -40,6 +42,9 @@ DerivativeSpec = Union["IntrinsicStem", Callable[[], "IntrinsicStem"], None]
 
 #: default step of the 4-point numeric complex derivative
 NUMERIC_STEP = 1e-4
+
+# |denominator| (or |z| for division by z) at or below which evaluation is a pole
+_POLE_TOL = 1e-12
 
 
 class IntrinsicStem:
@@ -81,25 +86,15 @@ class IntrinsicStem:
         """Value together with an absolute error bound (0 for analytic stems)."""
         return self._eval(complex(z))
 
-    @property
-    def has_derivative(self) -> bool:
-        return self._derivative is not None
-
-    def derivative_stem(self, numeric_step: Optional[float] = NUMERIC_STEP) -> "IntrinsicStem":
-        """Analytic derivative if available, else a 4-point central difference.
-
-        Passing numeric_step=None disables the numeric fallback, turning a
-        missing analytic derivative into a CapabilityError.
-        """
+    def derivative_stem(self) -> "IntrinsicStem":
+        """The analytic derivative; CapabilityError if the stem has none."""
         d = self._derivative
         if callable(d) and not isinstance(d, IntrinsicStem):
             d = d()
             self._derivative = d
-        if isinstance(d, IntrinsicStem):
-            return d
-        if numeric_step is None:
+        if d is None:
             raise CapabilityError(f"stem {self.name!r} has no derivative evaluator")
-        return numeric_derivative_stem(self, numeric_step)
+        return d
 
     def __repr__(self) -> str:
         return f"<IntrinsicStem {self.name} on {self.domain.kind}{self.domain.bounds}>"
@@ -173,23 +168,22 @@ def polynomial_stem(coeffs: Sequence[float], domain: Region = ENTIRE) -> Intrins
     )
 
 
-def rational_stem(num: Sequence[float], den: Sequence[float], domain: Region,
-                  pole_tol: float = 1e-12) -> IntrinsicStem:
+def rational_stem(num: Sequence[float], den: Sequence[float], domain: Region) -> IntrinsicStem:
     """Ratio of real-coefficient polynomials; raises PoleError near zeros of den."""
     nc = [float(c) for c in num] or [0.0]
     dc = [float(c) for c in den] or [0.0]
 
     def ev(z: complex) -> complex:
         d = _poly_eval(dc, z)
-        if abs(d) <= pole_tol:
-            raise PoleError(f"evaluation within {pole_tol:.0e} of a pole sphere at z={z}")
+        if abs(d) <= _POLE_TOL:
+            raise PoleError(f"evaluation within {_POLE_TOL:.0e} of a pole sphere at z={z}")
         return _poly_eval(nc, z) / d
 
     def make_derivative() -> IntrinsicStem:
         # (n/d)' = (n'd - nd') / d^2
         np_, dp = _poly_derivative(nc), _poly_derivative(dc)
         num2 = _poly_sub(_poly_mul(np_, dc), _poly_mul(nc, dp))
-        return rational_stem(num2, _poly_mul(dc, dc), domain, pole_tol)
+        return rational_stem(num2, _poly_mul(dc, dc), domain)
 
     return IntrinsicStem(ev, domain, derivative=make_derivative, name="rational")
 
@@ -229,6 +223,8 @@ def exp_decay_stem(rate: float, domain: Region = ENTIRE) -> IntrinsicStem:
 
 
 # -- combinators ---------------------------------------------------------------
+# Each passes a derivative thunk built from its operands' derivatives, so a
+# missing operand derivative raises CapabilityError when the thunk runs.
 
 def _common_domain(a: IntrinsicStem, b: IntrinsicStem) -> Region:
     if a.domain == b.domain:
@@ -242,9 +238,7 @@ def stem_sum(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
         vb, eb = b.eval_with_error(z)
         return va + vb, ea + eb
 
-    deriv = None
-    if a.has_derivative and b.has_derivative:
-        deriv = lambda: stem_sum(a.derivative_stem(None), b.derivative_stem(None))
+    deriv = lambda: stem_sum(a.derivative_stem(), b.derivative_stem())
     return IntrinsicStem._with_error(ev, _common_domain(a, b), deriv, f"({a.name})+({b.name})")
 
 
@@ -254,12 +248,10 @@ def stem_product(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
         vb, eb = b.eval_with_error(z)
         return va * vb, abs(va) * eb + abs(vb) * ea + ea * eb
 
-    deriv = None
-    if a.has_derivative and b.has_derivative:
-        deriv = lambda: stem_sum(
-            stem_product(a.derivative_stem(None), b),
-            stem_product(a, b.derivative_stem(None)),
-        )
+    deriv = lambda: stem_sum(
+        stem_product(a.derivative_stem(), b),
+        stem_product(a, b.derivative_stem()),
+    )
     return IntrinsicStem._with_error(ev, _common_domain(a, b), deriv, f"({a.name})*({b.name})")
 
 
@@ -270,9 +262,7 @@ def stem_scale(factor: float, a: IntrinsicStem) -> IntrinsicStem:
         v, e = a.eval_with_error(z)
         return f * v, abs(f) * e
 
-    deriv = None
-    if a.has_derivative:
-        deriv = lambda: stem_scale(f, a.derivative_stem(None))
+    deriv = lambda: stem_scale(f, a.derivative_stem())
     return IntrinsicStem._with_error(ev, a.domain, deriv, f"{f:g}*({a.name})")
 
 
@@ -294,9 +284,7 @@ def stem_shift(a: IntrinsicStem, offset: float) -> IntrinsicStem:
             raise UsageError(f"shift by {off:g} empties the annulus domain")
         dom = Region(dom.kind, (lo, hi))
 
-    deriv = None
-    if a.has_derivative:
-        deriv = lambda: stem_shift(a.derivative_stem(None), off)
+    deriv = lambda: stem_shift(a.derivative_stem(), off)
     return IntrinsicStem._with_error(lambda z: a.eval_with_error(z + off), dom, deriv,
                                      f"{a.name}(z+{off:g})")
 
@@ -306,24 +294,20 @@ def stem_mul_z(a: IntrinsicStem) -> IntrinsicStem:
         v, e = a.eval_with_error(z)
         return z * v, abs(z) * e
 
-    deriv = None
-    if a.has_derivative:
-        deriv = lambda: stem_sum(a, stem_mul_z(a.derivative_stem(None)))
+    deriv = lambda: stem_sum(a, stem_mul_z(a.derivative_stem()))
     return IntrinsicStem._with_error(ev, a.domain, deriv, f"z*({a.name})")
 
 
-def stem_div_z(a: IntrinsicStem, pole_tol: float = 1e-12) -> IntrinsicStem:
+def stem_div_z(a: IntrinsicStem) -> IntrinsicStem:
     def ev(z):
-        if abs(z) <= pole_tol:
+        if abs(z) <= _POLE_TOL:
             raise PoleError("division by z at the origin")
         v, e = a.eval_with_error(z)
         return v / z, e / abs(z)
 
-    deriv = None
-    if a.has_derivative:
-        # (f/z)' = f'/z - f/z^2
-        deriv = lambda: stem_sum(
-            stem_div_z(a.derivative_stem(None), pole_tol),
-            stem_scale(-1.0, stem_div_z(stem_div_z(a, pole_tol), pole_tol)),
-        )
+    # (f/z)' = f'/z - f/z^2
+    deriv = lambda: stem_sum(
+        stem_div_z(a.derivative_stem()),
+        stem_scale(-1.0, stem_div_z(stem_div_z(a))),
+    )
     return IntrinsicStem._with_error(ev, a.domain, deriv, f"({a.name})/z")

@@ -47,6 +47,12 @@ class GrowthBound:
 
 _RICHARDSON_H = 1e-3
 
+# window end of the growth estimate for a callable without a certificate
+_ESTIMATE_T_MAX = 10.0
+# samples of log|f| in the estimate's window, and the factor inflating its K
+_ESTIMATE_SAMPLES = 80
+_ESTIMATE_SAFETY = 10.0
+
 
 class TimeDomainFunction:
     """Piecewise continuous map t >= 0 -> H with exponential-order metadata."""
@@ -68,11 +74,11 @@ class TimeDomainFunction:
     def from_callable(cls, evaluator: Callable[[float], Quaternion],
                       growth: Optional[GrowthBound] = None,
                       breakpoints: Sequence[float] = (),
-                      value_at_zero_plus: Optional[Quaternion] = None,
-                      t_max: float = 10.0) -> "TimeDomainFunction":
-        """Wrap a bare callable; the growth certificate is estimated if omitted."""
+                      value_at_zero_plus: Optional[Quaternion] = None) -> "TimeDomainFunction":
+        """Wrap a bare callable; the growth certificate is estimated on
+        [5, 10] if omitted."""
         if growth is None:
-            growth = estimate_exp_order(evaluator, t_max)
+            growth = estimate_exp_order(evaluator, _ESTIMATE_T_MAX)
         return cls(evaluator, growth, breakpoints, value_at_zero_plus)
 
     def initial_value(self) -> Quaternion:
@@ -141,11 +147,11 @@ def exponential_function(b: Quaternion) -> TimeDomainFunction:
     )
 
 
-#: default exponential order assigned to polynomials (any positive rate works)
+#: exponential order assigned to polynomials (any positive rate works)
 POLY_RATE = 0.1
 
 
-def polynomial_function(coeffs: Sequence[Quaternion], rate: float = POLY_RATE) -> TimeDomainFunction:
+def polynomial_function(coeffs: Sequence[Quaternion]) -> TimeDomainFunction:
     """t -> sum_n c_n t^n with quaternion coefficients (t is real, order is moot)."""
     cs = [c if isinstance(c, Quaternion) else Quaternion.real(c) for c in coeffs]
     if not cs:
@@ -153,7 +159,7 @@ def polynomial_function(coeffs: Sequence[Quaternion], rate: float = POLY_RATE) -
     # sup of t^n e^{-rate t} is (n / (rate e))^n, so K bounds every monomial
     K = 0.0
     for n, c in enumerate(cs):
-        peak = 1.0 if n == 0 else (n / (rate * math.e)) ** n
+        peak = 1.0 if n == 0 else (n / (POLY_RATE * math.e)) ** n
         K += c.norm() * peak
     def evaluate(t: float) -> Quaternion:
         acc = cs[-1]
@@ -161,7 +167,7 @@ def polynomial_function(coeffs: Sequence[Quaternion], rate: float = POLY_RATE) -
             acc = acc * t + c
         return acc
 
-    return TimeDomainFunction(evaluate, GrowthBound(rate, max(K, 1e-300)), (), cs[0])
+    return TimeDomainFunction(evaluate, GrowthBound(POLY_RATE, max(K, 1e-300)), (), cs[0])
 
 
 def heaviside_shifted(inner: TimeDomainFunction, shift: float) -> TimeDomainFunction:
@@ -241,25 +247,24 @@ def time_function_from_json(spec: dict) -> TimeDomainFunction:
     return TimeDomainFunction(fn.evaluator, growth, breaks, f0)
 
 
-def estimate_exp_order(evaluator: Callable[[float], Quaternion], t_max: float,
-                       samples: int = 80, tail_safety: float = 10.0) -> GrowthBound:
+def estimate_exp_order(evaluator: Callable[[float], Quaternion], t_max: float) -> GrowthBound:
     """Least-squares fit of the tail slope of log|f| on [t_max/2, t_max].
 
-    The fitted K is inflated by tail_safety.  Growth that looks faster than
+    The fitted K is inflated by a safety factor of 10.  Growth that looks faster than
     exponential over the window (significant upward curvature of log|f|)
     raises EstimationError rather than returning a bogus certificate.
     """
     t0 = t_max / 2.0
     ts, logs = [], []
-    for k in range(samples):
-        t = t0 + (t_max - t0) * k / (samples - 1)
+    for k in range(_ESTIMATE_SAMPLES):
+        t = t0 + (t_max - t0) * k / (_ESTIMATE_SAMPLES - 1)
         v = evaluator(t)
         n = v.norm() if isinstance(v, Quaternion) else abs(v)
         if n > 0.0:
             ts.append(t)
             logs.append(math.log(n))
     if len(ts) < 8:
-        return GrowthBound(0.0, tail_safety * 1e-12, t0)
+        return GrowthBound(0.0, _ESTIMATE_SAFETY * 1e-12, t0)
     ts_arr = np.asarray(ts)
     logs_arr = np.asarray(logs)
     quad = np.polyfit(ts_arr, logs_arr, 2)
@@ -272,5 +277,5 @@ def estimate_exp_order(evaluator: Callable[[float], Quaternion], t_max: float,
     slope, intercept = np.polyfit(ts_arr, logs_arr, 1)
     a = max(float(slope), 0.0)
     residual = float(np.max(logs_arr - (slope * ts_arr + intercept)))
-    K = math.exp(float(intercept) + residual) * tail_safety
+    K = math.exp(float(intercept) + residual) * _ESTIMATE_SAFETY
     return GrowthBound(a, max(K, 1e-300), t0)

@@ -15,6 +15,9 @@ def runner():
 
 EXP_J = json.dumps({"kind": "exp", "b": [0, 0, 1, 0]})
 PROBES_3 = json.dumps({"points": [[2, 0, 0, 0], [1, 1, 0, 0], [1, 0, 0, 2]]})
+SERIES_F = json.dumps({"side": "left", "coeffs": [[1, 0, 0, 0], [0, 1, 0, 0]]})
+SERIES_PAIR = json.dumps({"f": json.loads(SERIES_F), "g": json.loads(SERIES_F)})
+TABLE_EXP = json.dumps({"function": "exp"})
 
 
 class TestTransform:
@@ -186,9 +189,30 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "spectral"])
         assert result.exit_code == 2
 
-    def test_nonpositive_tol_exit_2(self, runner):
-        result = runner.invoke(cli, ["verify", "algebra", "--tol", "-1"])
+    @pytest.mark.parametrize("args", [
+        ["verify", "algebra"],
+        ["transform", "--input", EXP_J, "--probes", PROBES_3],
+    ], ids=["verify", "transform"])
+    def test_nonpositive_tol_exit_2(self, runner, args):
+        for tol in ("0", "-1"):
+            result = runner.invoke(cli, [*args, "--tol", tol])
+            assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("args", [
+        ["transform", "--input", EXP_J, "--probes", PROBES_3, "--seed", "3"],
+        ["regprod", "--input", SERIES_PAIR, "--tol", "5"],
+        ["regprod", "--input", SERIES_PAIR, "--seed", "3"],
+        ["eval", "--input", SERIES_F, "--probes", PROBES_3, "--tol", "5"],
+        ["eval", "--input", SERIES_F, "--probes", PROBES_3, "--seed", "3"],
+        ["table", "--input", TABLE_EXP, "--probes", PROBES_3, "--tol", "5"],
+        ["table", "--input", TABLE_EXP, "--probes", PROBES_3, "--seed", "3"],
+        ["verify", "algebra", "--input", "nonexistent"],
+        ["verify", "algebra", "--probes", "nonexistent"],
+    ], ids=lambda args: f"{args[0]}{args[-2]}")
+    def test_unread_option_exit_2(self, runner, args):
+        result = runner.invoke(cli, args)
         assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_csv_format(self, runner):
         result = runner.invoke(cli, ["verify", "algebra", "--format", "csv"])

@@ -6,8 +6,7 @@ import pytest
 from sliceregular import quadrature
 from sliceregular.errors import DomainError, UsageError
 from sliceregular.laplace import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
+    DEFAULT_ABS_TOL,
     convolution,
     convolve,
     derivative_of_transform,
@@ -138,6 +137,23 @@ class TestBasicTransforms:
         F = laplace_left(exponential_function(J))
         value, err = F.evaluate_with_error(Quaternion(1, 2, 0, 0))
         assert 0 < err < 1e-8
+
+    def test_components_report_their_own_error(self):
+        # e^{jt} = cos t + j sin t: the i and k components vanish identically
+        F = laplace_left(exponential_function(J))
+        for m in (1, 3):
+            assert F.fn.stems[m].eval_with_error(complex(1, 2))[1] < 1e-15
+
+    @pytest.mark.parametrize("build", [
+        lambda f, tol: laplace_left(f, tol),
+        lambda f, tol: laplace_right(f, tol),
+        lambda f, tol: convolution(f, f, tol),
+        lambda f, tol: convolve(f, f, 1.0, tol),
+    ], ids=["left", "right", "convolution", "convolve"])
+    def test_nonpositive_abs_tol_rejected(self, build):
+        for tol in (0.0, -1e-10):
+            with pytest.raises(UsageError, match="abs_tol must be positive"):
+                build(constant_function(ONE), tol)
 
 
 class TestClosedForm:
@@ -394,6 +410,15 @@ class TestConvolution:
         with pytest.raises(UsageError):
             convolve(one, one, -1.0)
 
+    def test_direct_route_built_on_first_use(self):
+        # an estimated certificate holds only past T = 5, which a convolution
+        # cannot use, but the star product route needs no certificate
+        f = TimeDomainFunction.from_callable(lambda t: ONE * math.exp(-t))
+        T = laplace_of_convolution(f, constant_function(ONE))
+        assert_qclose(T(Quaternion.real(2.0)), Quaternion.real(1.0 / 6.0), 1e-8)
+        with pytest.raises(UsageError):
+            T.direct
+
     def test_certificate_needs_factor_bounds_for_all_t(self):
         # f = 1000 on [0, 1) and 1 after, certified only past T = 1: the
         # product of the factors' K would give 4.49 at t = 2, not 1001
@@ -416,7 +441,7 @@ class TestDuality:
                                exponential_function(-ONE).growth)
         probes = transform_probes(rng, 6)
         report = reflection_duality_check(f, probes)
-        assert report.max_residual <= 2 * DEFAULT_CONFIG.abs_tol + 1e-12
+        assert report.max_residual <= 2 * DEFAULT_ABS_TOL + 1e-12
 
     def test_exp_jt(self, rng):
         probes = transform_probes(rng, 10)
@@ -432,11 +457,11 @@ class TestDuality:
 class TestUniformConvergenceProxy:
     def test_halving_tolerance_moves_little(self, rng):
         f = exponential_function(J)
-        loose = QuadratureConfig(abs_tol=1e-6)
-        tight = QuadratureConfig(abs_tol=5e-7)
+        loose = 1e-6
+        tight = 5e-7
         Fl, Ft = laplace_left(f, loose), laplace_left(f, tight)
         for s in transform_probes(rng, 6, re_lo=1.0):
-            assert (Fl(s) - Ft(s)).norm() <= loose.abs_tol
+            assert (Fl(s) - Ft(s)).norm() <= loose
 
 
 class TestSliceRestriction:

@@ -5,11 +5,9 @@ import pytest
 
 from sliceregular.errors import AccuracyError
 from sliceregular.laplace import convolve
-from sliceregular.quadrature import integrate_adaptive, integrate_quaternion
-from sliceregular.quaternion import I, ONE, Quaternion
+from sliceregular.quadrature import integrate_adaptive
+from sliceregular.quaternion import ONE, Quaternion
 from sliceregular.timefunctions import constant_function
-
-from conftest import assert_qclose
 
 
 def test_polynomial_exact():
@@ -52,12 +50,6 @@ def test_large_constant_has_no_weight_error_floor():
 def test_convolve_large_constant():
     big, one = constant_function(Quaternion.real(1e6)), constant_function(ONE)
     assert convolve(big, one, 1.0) == Quaternion.real(1e6)
-
-
-def test_quaternion_wrapper():
-    value, _ = integrate_quaternion(lambda t: ONE * math.cos(t) + I * math.sin(t),
-                                    0.0, math.pi / 2, abs_tol=1e-12)
-    assert_qclose(value, Quaternion(1, 1, 0, 0), 1e-13)
 
 
 def test_empty_interval():

@@ -251,15 +251,15 @@ class TestSliceDerivative:
     def test_finite_difference_crosscheck(self, rng):
         f = left_series([random_quaternion(rng) for _ in range(6)])
         F = from_series(f)
-        D_analytic = F.slice_derivative(allow_numeric=False)
-        D_numeric = F.slice_derivative(force_numeric=True, numeric_step=1e-5)
+        D_analytic = F.slice_derivative()
+        D_numeric = F.slice_derivative(numeric_step=1e-5)
         for _ in range(20):
             q = random_quaternion(rng, 0.8)
             assert (D_analytic(q) - D_numeric(q)).norm() <= 1e-6
 
     def test_matches_series_derivative(self, rng):
         f = left_series([random_quaternion(rng) for _ in range(6)])
-        D_tensor = from_series(f).slice_derivative(allow_numeric=False)
+        D_tensor = from_series(f).slice_derivative()
         D_series = from_series(f.slice_derivative())
         for _ in range(20):
             q = random_quaternion(rng)
@@ -269,7 +269,7 @@ class TestSliceDerivative:
         bare = IntrinsicStem(lambda z: z * z, disk(2.0))
         F = SliceRegularFunction(Side.LEFT, (bare, bare, bare, bare), disk(2.0))
         with pytest.raises(CapabilityError):
-            F.slice_derivative(allow_numeric=False)
+            F.slice_derivative()
 
 
 class TestCauchyKernel:
