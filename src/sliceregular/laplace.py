@@ -5,12 +5,15 @@ f splits over the real components f = sum_m f_m J_m into four classical
 complex transforms evaluated on the slice of s, assembled back through the
 tensor form: that is exactly how the engine evaluates.  The four share the
 kernel e^{-tz}, so at each point one adaptive panel quadrature of a complex
-4-vector computes them together and evaluates f once per node.  It
-truncates the half-line at a point T* where the analytic tail bound
-K e^{(a - Re s) T*} terms falls below half the tolerance abs_tol (with a
-safety factor of 10), and spends the other half on the panels of [0, T*].
-Each component stem reports its own quadrature error plus the tail bound.
-abs_tol is the only accuracy setting; the panel budget is fixed.
+4-vector computes them together, evaluating the kernel and f once per
+panel on the array of its 15 nodes.  It truncates the half-line at a point
+T* where the analytic tail bound K e^{(a - Re s) T*} terms falls below half
+the tolerance abs_tol (with a safety factor of 10), and spends the other
+half on the panels of [0, T*]; when no T* within reach meets the target it
+raises AccuracyError carrying the tail bound.  Each component stem reports
+its own quadrature error plus the tail bound, so the four add up to at most
+0.7 abs_tol.  abs_tol is the only accuracy setting; the panel budget is
+fixed.
 
 Results are slice regular functions of s on the half-plane Re(s) > a, so the
 whole operational calculus (shifts, derivative and integral rules, the
@@ -21,7 +24,6 @@ here exposes the unlawful right-sided variants.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,8 +32,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError, UsageError
-from .quaternion import Quaternion
+from .errors import AccuracyError, DomainError, UsageError
+from .quaternion import Quaternion, quat_mul_rows
 from .regions import Region, half_plane
 from .series import Side
 from .slicefn import SliceRegularFunction
@@ -96,13 +98,17 @@ def _tail_bound(T: float, lam: float, K: float, power: int) -> float:
 
 def _truncation_point(growth: GrowthBound, breakpoints: Sequence[float],
                       lam: float, power: int, abs_tol: float) -> float:
+    """Where the tail bound first falls below its share of abs_tol, in steps
+    of 1.5x; AccuracyError with the last tail bound if 200 steps miss it."""
     target = abs_tol / (2.0 * _TAIL_SAFETY)
     T = max(growth.T, max(breakpoints, default=0.0), 1.0)
     for _ in range(200):
-        if _tail_bound(T, lam, growth.K, power) <= target:
+        tail = _tail_bound(T, lam, growth.K, power)
+        if tail <= target:
             return T
         T *= 1.5
-    return T
+    raise AccuracyError(f"the tail bound misses its target {target:.3e} at every "
+                        "truncation point tried", achieved=tail)
 
 
 class _TransformStem(IntrinsicStem):
@@ -139,8 +145,8 @@ def _transform_stems(fn: TimeDomainFunction, abs_tol: float, power: int,
             )
         T = _truncation_point(growth, breakpoints, lam, power, abs_tol)
 
-        def integrand(t: float) -> np.ndarray:
-            return cmath.exp(-t * z) * (-t) ** power * np.array(fn.evaluator(t).components())
+        def integrand(t: np.ndarray) -> np.ndarray:
+            return (np.exp(-t * z) * (-t) ** power)[:, None] * fn.evaluator(t)
 
         values, errs = quadrature.integrate_adaptive(
             integrand, 0.0, T, abs_tol=abs_tol / 2.0, breakpoints=breakpoints,
@@ -326,8 +332,8 @@ def convolve(f: TimeDomainFunction, g: TimeDomainFunction, t: float,
     breaks = {b for b in g.breakpoints if 0.0 < b < t}
     breaks.update(t - b for b in f.breakpoints if 0.0 < t - b < t)
 
-    def integrand(tau: float) -> np.ndarray:
-        return np.array((f.evaluator(t - tau) * g.evaluator(tau)).components())
+    def integrand(tau: np.ndarray) -> np.ndarray:
+        return quat_mul_rows(f.evaluator(t - tau), g.evaluator(tau))
 
     value, _ = quadrature.integrate_adaptive(
         integrand, 0.0, t, abs_tol=abs_tol, breakpoints=sorted(breaks),
@@ -356,20 +362,23 @@ def convolution(f: TimeDomainFunction, g: TimeDomainFunction,
         )
     c = max(gf.a, gg.a)
     K = gf.K * gg.K / (CONV_RATE_MARGIN * math.e)
-    cache: dict[float, Quaternion] = {}
+    cache: dict[float, tuple[float, float, float, float]] = {}
 
-    def evaluate(t: float) -> Quaternion:
-        hit = cache.get(t)
-        if hit is None:
-            hit = convolve(f, g, t, abs_tol)
-            if len(cache) > _MEMO_LIMIT:
-                cache.clear()
-            cache[t] = hit
-        return hit
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        rows = []
+        for t in ts.tolist():
+            hit = cache.get(t)
+            if hit is None:
+                hit = convolve(f, g, t, abs_tol).components()
+                if len(cache) > _MEMO_LIMIT:
+                    cache.clear()
+                cache[t] = hit
+            rows.append(hit)
+        return np.array(rows).reshape(-1, 4)
 
     kinks = sorted({*f.breakpoints, *g.breakpoints,
                     *(bf + bg for bf in f.breakpoints for bg in g.breakpoints)})
-    return TimeDomainFunction(
+    return TimeDomainFunction.from_array(
         evaluate, GrowthBound(c + CONV_RATE_MARGIN, max(K, 1e-300)),
         kinks, Quaternion(),
     )

@@ -2,19 +2,24 @@
 
 The integrand is a real or complex vector (the four components of a
 quaternion integrand, or the four complex component transforms of a Laplace
-transform, are integrated together).  Each panel's error estimate is the
-componentwise modulus of the deviation between the 15-point Kronrod value
-and the embedded 7-point Gauss value.  Breakpoints force panel boundaries so
-that jump discontinuities never sit inside a panel, and the panel with the
-worst component is bisected until the sum of the panels' worst components
-meets the tolerance or the panel budget is exhausted; the result carries
-each component's own summed error.  Splitting decisions depend only on the
-integrand and the interval, so repeated calls are deterministic.
+transform, are integrated together) and is evaluated once per panel: it
+maps the (15,) array of the panel's Kronrod nodes to the (15, k) array of
+its values there.  Each panel's error estimate is the componentwise modulus
+of the deviation between the 15-point Kronrod value and the embedded
+7-point Gauss value.  Breakpoints force panel boundaries so that jump
+discontinuities never sit inside a panel, and the panel with the largest
+summed component error is bisected until the total over all panels and
+components meets the tolerance or the panel budget is exhausted; the result
+carries each component's own summed error, so the component errors add up
+to at most the tolerance.  A panel with a non-finite value raises
+AccuracyError with an infinite bound.  Splitting decisions depend only on
+the integrand and the interval, so repeated calls are deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -53,35 +58,41 @@ _WG = np.array([
     0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ])
-_GAUSS_INDICES = np.arange(1, 15, 2)
+# rows: the Kronrod weights and the Gauss weights on the odd-indexed nodes
+_WEIGHTS = np.zeros((2, 15))
+_WEIGHTS[0] = _WGK
+_WEIGHTS[1, 1::2] = _WG
 
 
-def _gk15(fn: Callable[[float], np.ndarray], a: float,
-          b: float) -> tuple[np.ndarray, np.ndarray]:
+#: an integrand: the (15,) nodes of one panel -> the (15, k) values there
+Integrand = Callable[[np.ndarray], np.ndarray]
+
+
+def _gk15(fn: Integrand, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod value and componentwise |Kronrod - Gauss| of one panel."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    values = np.array([fn(mid + half * x) for x in _XGK])
-    kronrod = half * np.tensordot(_WGK, values, axes=(0, 0))
-    gauss = half * np.tensordot(_WG, values[_GAUSS_INDICES], axes=(0, 0))
+    values = np.asarray(fn(mid + half * _XGK))
+    kronrod, gauss = half * (_WEIGHTS @ values)
+    if not np.isfinite(kronrod).all():
+        raise AccuracyError(f"integrand is not finite on [{a:g}, {b:g}]", achieved=math.inf)
     return kronrod, np.abs(kronrod - gauss)
 
 
-def _worst(errs: np.ndarray) -> float:
-    return float(np.max(errs)) if errs.size else 0.0
-
-
-def integrate_adaptive(fn: Callable[[float], np.ndarray], a: float, b: float, *,
+# overflow shows as a non-finite panel, which raises
+@np.errstate(over="ignore", invalid="ignore")
+def integrate_adaptive(fn: Integrand, a: float, b: float, *,
                        abs_tol: float, max_panels: int = 400,
                        breakpoints: Iterable[float] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a vector-valued integrand over [a, b].
 
-    Returns (value, componentwise summed error estimate); raises
-    AccuracyError carrying the achieved bound (the summed worst components)
-    when the panel budget runs out first.
+    Returns (value, componentwise summed error estimate), whose components
+    sum to at most abs_tol; raises AccuracyError carrying the achieved
+    bound when the panel budget runs out first, and an infinite one when a
+    panel's value is not finite.
     """
     if b <= a:
-        probe = np.asarray(fn(a))
+        probe = np.asarray(fn(np.array([a])))[0]
         return np.zeros_like(probe), np.zeros(probe.shape)
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
     counter = 0
@@ -90,7 +101,7 @@ def integrate_adaptive(fn: Callable[[float], np.ndarray], a: float, b: float, *,
     total_val: np.ndarray | None = None
     for lo, hi in zip(edges[:-1], edges[1:]):
         val, errs = _gk15(fn, lo, hi)
-        err = _worst(errs)
+        err = float(errs.sum())
         total_val = val if total_val is None else total_val + val
         total_err += err
         heapq.heappush(heap, (-err, lo, counter, hi, val, errs))
@@ -114,7 +125,7 @@ def integrate_adaptive(fn: Callable[[float], np.ndarray], a: float, b: float, *,
         mid = 0.5 * (lo + hi)
         lval, lerrs = _gk15(fn, lo, mid)
         rval, rerrs = _gk15(fn, mid, hi)
-        lerr, rerr = _worst(lerrs), _worst(rerrs)
+        lerr, rerr = float(lerrs.sum()), float(rerrs.sum())
         total_val = total_val - val + lval + rval
         total_err = total_err - err + lerr + rerr
         heapq.heappush(heap, (-lerr, lo, counter, mid, lval, lerrs))

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError, UsageError
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "slice_decompose",
     "slice_embed",
     "quat_exp",
+    "quat_mul_rows",
     "random_quaternion",
     "random_unit_imaginary",
 ]
@@ -243,6 +246,22 @@ def quat_exp(q: Quaternion) -> Quaternion:
         return Quaternion(ex, 0.0, 0.0, 0.0)
     s = ex * math.sin(y) / y
     return Quaternion(ex * math.cos(y), s * q.x, s * q.y, s * q.z)
+
+
+def quat_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rowwise Hamilton product of (n, 4) component arrays; either may be one (4,) row.
+
+    Same operations in the same order as `Quaternion.__mul__`, so each row is
+    bit-identical to the product of the row quaternions.
+    """
+    a, b, c, d = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    e, f, g, h = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack((
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    ), axis=-1)
 
 
 def random_quaternion(rng, scale: float = 1.0) -> Quaternion:

@@ -1,9 +1,15 @@
 """Quaternion-valued functions of a real variable t >= 0.
 
+A function is evaluated through one array map, its `evaluator`: an (n,)
+array of times goes in and the (n, 4) array of the values' real components
+comes out, so a quadrature panel evaluates all its nodes in one call.  The
+JSON vocabulary (exp / poly / heaviside_shift / sum / scale) and the
+combinators build that map directly in numpy; a bare scalar callable
+t -> Quaternion is wrapped into it once, and `f(t)` reads one row of it.
+
 Transform inputs carry a growth certificate |f(t)| <= K e^{a t} for t > T
 (a >= 0), an optional list of jump locations and an optional value at 0+.
-Factories cover the JSON function vocabulary (exp / poly / heaviside_shift /
-sum / scale) and derive growth certificates instead of estimating them; the
+The factories derive growth certificates instead of estimating them; the
 least-squares estimator is there for bare callables without a declared order.
 """
 
@@ -16,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import EstimationError, UsageError
-from .quaternion import ONE, Quaternion, quat_exp, quat_from_list
+from .quaternion import ONE, Quaternion, quat_from_list, quat_mul_rows
 
 __all__ = [
     "GrowthBound",
@@ -28,6 +34,9 @@ __all__ = [
     "time_function_from_json",
     "estimate_exp_order",
 ]
+
+#: (n,) times -> (n, 4) real components of the values
+ArrayEvaluator = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,21 +63,49 @@ _ESTIMATE_SAMPLES = 80
 _ESTIMATE_SAFETY = 10.0
 
 
+def _rows_of(scalar: Callable[[float], Quaternion]) -> ArrayEvaluator:
+    """The array form of a scalar callable t -> Quaternion."""
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        return np.array([scalar(t).components() for t in ts.tolist()]).reshape(-1, 4)
+
+    return evaluate
+
+
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+
+
 class TimeDomainFunction:
-    """Piecewise continuous map t >= 0 -> H with exponential-order metadata."""
+    """Piecewise continuous map t >= 0 -> H with exponential-order metadata.
+
+    The constructor takes a scalar callable t -> Quaternion; `from_array`
+    takes the array evaluator itself.
+    """
 
     __slots__ = ("evaluator", "growth", "breakpoints", "value_at_zero_plus")
 
     def __init__(self, evaluator: Callable[[float], Quaternion], growth: GrowthBound,
                  breakpoints: Sequence[float] = (),
                  value_at_zero_plus: Optional[Quaternion] = None):
+        self._init(_rows_of(evaluator), growth, breakpoints, value_at_zero_plus)
+
+    @classmethod
+    def from_array(cls, evaluator: ArrayEvaluator, growth: GrowthBound,
+                   breakpoints: Sequence[float] = (),
+                   value_at_zero_plus: Optional[Quaternion] = None) -> "TimeDomainFunction":
+        """Wrap an array evaluator: (n,) times -> (n, 4) components."""
+        fn = cls.__new__(cls)
+        fn._init(evaluator, growth, breakpoints, value_at_zero_plus)
+        return fn
+
+    def _init(self, evaluator: ArrayEvaluator, growth: GrowthBound,
+              breakpoints: Sequence[float], value_at_zero_plus: Optional[Quaternion]) -> None:
         self.evaluator = evaluator
         self.growth = growth
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
         self.value_at_zero_plus = value_at_zero_plus
 
     def __call__(self, t: float) -> Quaternion:
-        return self.evaluator(t)
+        return Quaternion(*self.evaluator(np.array([float(t)]))[0].tolist())
 
     @classmethod
     def from_callable(cls, evaluator: Callable[[float], Quaternion],
@@ -90,39 +127,40 @@ class TimeDomainFunction:
         return (8 * f4 - 6 * f2 + f1) / 3
 
     def conjugated(self) -> "TimeDomainFunction":
-        f0 = self.value_at_zero_plus
-        return TimeDomainFunction(
-            lambda t: self.evaluator(t).conjugate(), self.growth, self.breakpoints,
+        f, f0 = self.evaluator, self.value_at_zero_plus
+        return TimeDomainFunction.from_array(
+            lambda ts: f(ts) * _CONJUGATE, self.growth, self.breakpoints,
             f0.conjugate() if f0 is not None else None,
         )
 
     def scaled_left(self, factor: Quaternion) -> "TimeDomainFunction":
-        g = self.growth
-        f0 = self.value_at_zero_plus
-        return TimeDomainFunction(
-            lambda t: factor * self.evaluator(t),
+        f, g, f0 = self.evaluator, self.growth, self.value_at_zero_plus
+        row = np.array(factor.components())
+        return TimeDomainFunction.from_array(
+            lambda ts: quat_mul_rows(row, f(ts)),
             GrowthBound(g.a, g.K * max(factor.norm(), 1e-300), g.T),
             self.breakpoints,
             factor * f0 if f0 is not None else None,
         )
 
     def scaled_right(self, factor: Quaternion) -> "TimeDomainFunction":
-        g = self.growth
-        f0 = self.value_at_zero_plus
-        return TimeDomainFunction(
-            lambda t: self.evaluator(t) * factor,
+        f, g, f0 = self.evaluator, self.growth, self.value_at_zero_plus
+        row = np.array(factor.components())
+        return TimeDomainFunction.from_array(
+            lambda ts: quat_mul_rows(f(ts), row),
             GrowthBound(g.a, g.K * max(factor.norm(), 1e-300), g.T),
             self.breakpoints,
             f0 * factor if f0 is not None else None,
         )
 
     def __add__(self, other: "TimeDomainFunction") -> "TimeDomainFunction":
+        f, g = self.evaluator, other.evaluator
         ga, gb = self.growth, other.growth
         f0 = None
         if self.value_at_zero_plus is not None and other.value_at_zero_plus is not None:
             f0 = self.value_at_zero_plus + other.value_at_zero_plus
-        return TimeDomainFunction(
-            lambda t: self.evaluator(t) + other.evaluator(t),
+        return TimeDomainFunction.from_array(
+            lambda ts: f(ts) + g(ts),
             GrowthBound(max(ga.a, gb.a), ga.K + gb.K, max(ga.T, gb.T)),
             sorted({*self.breakpoints, *other.breakpoints}),
             f0,
@@ -134,17 +172,32 @@ class TimeDomainFunction:
 
 def constant_function(value: Quaternion) -> TimeDomainFunction:
     v = value if isinstance(value, Quaternion) else Quaternion.real(value)
-    return TimeDomainFunction(
-        lambda t: v, GrowthBound(0.0, max(v.norm(), 1e-300)), (), v
+    row = np.array(v.components())
+    return TimeDomainFunction.from_array(
+        lambda ts: np.zeros((ts.size, 4)) + row, GrowthBound(0.0, max(v.norm(), 1e-300)), (), v
     )
 
 
 def exponential_function(b: Quaternion) -> TimeDomainFunction:
-    """t -> e^{b t}; |e^{bt}| = e^{Re(b) t} gives the exact growth certificate."""
+    """t -> e^{b t}; |e^{bt}| = e^{Re(b) t} gives the exact growth certificate.
+
+    With b = w + r u (u a unit imaginary), e^{bt} = e^{wt} (cos rt + u sin rt).
+    """
     b = b if isinstance(b, Quaternion) else Quaternion.real(b)
-    return TimeDomainFunction(
-        lambda t: quat_exp(b * t), GrowthBound(max(b.w, 0.0), 1.0), (), ONE
-    )
+    w, r = b.w, b.im_norm()
+    v = np.array([b.x, b.y, b.z])
+
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        ex = np.exp(w * ts)
+        out = np.zeros((ts.size, 4))
+        if r == 0.0:
+            out[:, 0] = ex
+        else:
+            out[:, 0] = ex * np.cos(r * ts)
+            out[:, 1:] = np.multiply.outer(ex * np.sin(r * ts) / r, v)
+        return out
+
+    return TimeDomainFunction.from_array(evaluate, GrowthBound(max(b.w, 0.0), 1.0), (), ONE)
 
 
 #: exponential order assigned to polynomials (any positive rate works)
@@ -161,31 +214,42 @@ def polynomial_function(coeffs: Sequence[Quaternion]) -> TimeDomainFunction:
     for n, c in enumerate(cs):
         peak = 1.0 if n == 0 else (n / (POLY_RATE * math.e)) ** n
         K += c.norm() * peak
-    def evaluate(t: float) -> Quaternion:
-        acc = cs[-1]
-        for c in reversed(cs[:-1]):
+    rows = np.array([c.components() for c in cs])
+
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        # Horner, highest coefficient first
+        acc = np.zeros((ts.size, 4)) + rows[-1]
+        t = ts[:, None]
+        for c in rows[-2::-1]:
             acc = acc * t + c
         return acc
 
-    return TimeDomainFunction(evaluate, GrowthBound(POLY_RATE, max(K, 1e-300)), (), cs[0])
+    return TimeDomainFunction.from_array(
+        evaluate, GrowthBound(POLY_RATE, max(K, 1e-300)), (), cs[0])
 
 
 def heaviside_shifted(inner: TimeDomainFunction, shift: float) -> TimeDomainFunction:
-    """t -> f(t - shift) H(t - shift) with H(0) = 1."""
+    """t -> f(t - shift) H(t - shift) with H(0) = 1.
+
+    f is evaluated only at t >= shift, so it need not be defined before 0.
+    """
     if shift <= 0:
         raise UsageError("heaviside shift must be positive")
     g = inner.growth
+    f = inner.evaluator
 
-    def evaluate(t: float) -> Quaternion:
-        if t < shift:
-            return Quaternion()
-        return inner.evaluator(t - shift)
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        out = np.zeros((ts.size, 4))
+        on = ts >= shift
+        if on.any():
+            out[on] = f(ts[on] - shift)
+        return out
 
     # 0 before the shift and K e^{a(t - shift)} <= K e^{at} after it, so a
     # bound holding for all t > 0 still does; otherwise its window moves
     T = g.T + shift if g.T > 0.0 else 0.0
     breaks = [shift] + [b + shift for b in inner.breakpoints]
-    return TimeDomainFunction(
+    return TimeDomainFunction.from_array(
         evaluate, GrowthBound(g.a, g.K, T), breaks, Quaternion()
     )
 
@@ -244,7 +308,7 @@ def time_function_from_json(spec: dict) -> TimeDomainFunction:
     f0 = fn.value_at_zero_plus
     if "value_at_zero_plus" in spec:
         f0 = quat_from_list(spec["value_at_zero_plus"])
-    return TimeDomainFunction(fn.evaluator, growth, breaks, f0)
+    return TimeDomainFunction.from_array(fn.evaluator, growth, breaks, f0)
 
 
 def estimate_exp_order(evaluator: Callable[[float], Quaternion], t_max: float) -> GrowthBound:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from sliceregular import quadrature
-from sliceregular.errors import DomainError, UsageError
+from sliceregular.errors import AccuracyError, DomainError, UsageError
 from sliceregular.laplace import (
     DEFAULT_ABS_TOL,
     convolution,
@@ -522,6 +522,48 @@ class TestErrorPropagation:
                 exact = closed.evaluate(s)
                 assert (value - exact).norm() <= bound, name
                 assert closed.evaluate_with_error(s) == (exact, 0.0), name
+
+
+#: one function per JSON kind, scale on both sides
+BUDGET_FUNCTIONS = {
+    "exp": exponential_function(Quaternion(0.3, 0.5, -0.7, 0.2)),
+    "poly": polynomial_function([ONE, J, 0.5 * K]),
+    "heaviside": heaviside_shifted(exponential_function(J), 1.0),
+    "sum": exponential_function(I) + polynomial_function([K, ONE]),
+    "scale_left": exponential_function(J).scaled_left(ONE + K),
+    "scale_right": exponential_function(J).scaled_right(ONE + K),
+}
+
+
+class TestErrorBudget:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("name", BUDGET_FUNCTIONS)
+    def test_est_error_within_abs_tol(self, name, tol):
+        f = BUDGET_FUNCTIONS[name]
+        a = f.growth.a
+        probes = [Quaternion.real(a + d) for d in (0.2, 1.0)]
+        probes += [slice_embed(a + d, y, unit) for d in (0.2, 1.0) for y in (0.5, 2.0)
+                   for unit in (I, J)]
+        for build in (laplace_left, laplace_right):
+            F = build(f, tol)
+            for s in probes:
+                assert F.evaluate_with_error(s)[1] <= tol, (build.__name__, s)
+
+    def test_missed_truncation_point_raises_with_the_tail_bound(self, monkeypatch):
+        calls = []
+        integrate = quadrature.integrate_adaptive
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_adaptive", counted)
+        F = laplace_left(constant_function(ONE))
+        with pytest.raises(AccuracyError) as info:
+            F.evaluate(Quaternion.real(1e-40))
+        # the tail of integral(e^{-ts} dt) past any reachable T is about 1/s
+        assert info.value.achieved >= 1e39
+        assert calls == []
 
 
 class TestOneQuadraturePerPoint:

@@ -1,6 +1,10 @@
 import math
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceregular.errors import EstimationError, UsageError
 from sliceregular.quaternion import I, J, K, ONE, Quaternion, quat_exp
@@ -147,3 +151,115 @@ class TestExpOrderEstimation:
             t = bound.T + k * 0.2
             v = math.exp(1.5 * t) * (2 + math.sin(t))
             assert v <= bound.K * math.exp(bound.a * t) * (1 + 1e-9)
+
+
+# -- the array evaluator against scalar quaternion arithmetic ------------------
+
+coords = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+quaternions = st.builds(Quaternion, coords, coords, coords, coords)
+reals = st.builds(Quaternion.real, coords)
+
+
+def _horner(cs, t):
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * t + c
+    return acc
+
+
+# a case is (function, scalar reference t -> Quaternion, size t -> float that
+# bounds the terms the value is computed from, times worth probing)
+def _exp_case(b):
+    return (exponential_function(b), lambda t: quat_exp(b * t),
+            lambda t: math.exp(b.w * t), [])
+
+
+def _poly_case(cs):
+    return (polynomial_function(cs), lambda t: _horner(cs, t),
+            lambda t: sum(c.norm() * t**n for n, c in enumerate(cs)), [])
+
+
+def _constant_case(v):
+    return constant_function(v), lambda t: v, lambda t: v.norm(), []
+
+
+def _callable_case(b):
+    f = TimeDomainFunction(lambda t: quat_exp(b * t), exponential_function(b).growth)
+    return f, lambda t: quat_exp(b * t), lambda t: math.exp(b.w * t), []
+
+
+leaves = st.one_of(
+    st.builds(_exp_case, st.one_of(quaternions, reals)),
+    st.builds(_poly_case, st.lists(quaternions, min_size=1, max_size=4)),
+    st.builds(_constant_case, quaternions),
+    st.builds(_callable_case, quaternions),
+)
+
+
+def _heaviside(case, shift):
+    f, ref, size, times = case
+    return (heaviside_shifted(f, shift),
+            lambda t: ref(t - shift) if t >= shift else Quaternion(),
+            lambda t: size(t - shift) if t >= shift else 0.0,
+            [shift, shift - 1e-9, math.nextafter(shift, 0.0)] + [t + shift for t in times])
+
+
+def _sum(left, right):
+    (f, rf, sf, tf), (g, rg, sg, tg) = left, right
+    return f + g, lambda t: rf(t) + rg(t), lambda t: sf(t) + sg(t), tf + tg
+
+
+def _scaled(case, factor, where):
+    f, ref, size, times = case
+    if where == "left":
+        return (f.scaled_left(factor), lambda t: factor * ref(t),
+                lambda t: 2 * factor.norm() * size(t), times)
+    return (f.scaled_right(factor), lambda t: ref(t) * factor,
+            lambda t: 2 * factor.norm() * size(t), times)
+
+
+def _conjugated(case):
+    f, ref, size, times = case
+    return f.conjugated(), lambda t: ref(t).conjugate(), size, times
+
+
+def _combinators(children):
+    return st.one_of(
+        st.builds(_heaviside, children, st.floats(0.1, 3.0)),
+        st.builds(_sum, children, children),
+        st.builds(_scaled, children, quaternions, st.sampled_from(["left", "right"])),
+        st.builds(_conjugated, children),
+    )
+
+
+cases = st.recursive(leaves, _combinators, max_leaves=4)
+
+
+class TestArrayEvaluator:
+    @given(cases, st.lists(st.floats(0.0, 4.0), min_size=1, max_size=15))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_scalar_quaternion_arithmetic(self, case, drawn):
+        f, ref, size, times = case
+        ts = [t for t in drawn + times if t >= 0.0]
+        rows = f.evaluator(np.array(ts))
+        assert rows.shape == (len(ts), 4)
+        for t, row in zip(ts, rows):
+            tol = 32 * sys.float_info.epsilon * max(size(t), 1e-300)
+            assert_qclose(Quaternion(*row.tolist()), ref(t), tol)
+            assert_qclose(f(t), ref(t), tol)
+
+    def test_heaviside_is_exactly_zero_before_and_one_at_the_shift(self):
+        f = heaviside_shifted(exponential_function(J), 1.0)
+        rows = f.evaluator(np.array([0.0, math.nextafter(1.0, 0.0), 1.0]))
+        assert rows.tolist() == [[0.0] * 4, [0.0] * 4, [1.0, 0.0, 0.0, 0.0]]
+
+    def test_heaviside_evaluates_its_inner_function_only_after_the_shift(self):
+        seen = []
+
+        def inner(t):
+            seen.append(t)
+            return ONE
+
+        f = heaviside_shifted(TimeDomainFunction(inner, constant_function(ONE).growth), 2.0)
+        f.evaluator(np.array([0.5, 1.5, 2.0, 3.0]))
+        assert seen == [0.0, 1.0]
