@@ -246,13 +246,12 @@ def regprod(input_, probes, fmt, out):
     except (KeyError, TypeError) as exc:
         raise UsageError(f"regprod input needs series fields 'f' and 'g': {exc}") from exc
     product = f.star(g)
-    preamble = {"side": product.side.value,
-                "coeffs": [c.to_list() for c in product.coeffs]}
+    preamble = product.to_json_dict()
     if probes is not None:
         records = [{"q": q.to_list(), "value": product(q).to_list()}
                    for q in _parse_probes(probes)]
     else:
-        records = [{"n": n, "coeff": c.to_list()} for n, c in enumerate(product.coeffs)]
+        records = [{"n": n, "coeff": c} for n, c in enumerate(preamble["coeffs"])]
     _emit(records, fmt, out, preamble if fmt == "json" else None)
 
 

@@ -27,12 +27,14 @@ __all__ = [
     "J",
     "K",
     "UNITS",
+    "quat_components",
     "quat_from_list",
     "unit_imaginary",
     "slice_decompose",
     "slice_embed",
     "quat_exp",
     "quat_mul_rows",
+    "CONJUGATE_SIGNS",
     "random_quaternion",
     "random_unit_imaginary",
 ]
@@ -170,10 +172,15 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 UNITS = (ONE, I, J, K)
 
 
-def quat_from_list(values: Sequence[float]) -> Quaternion:
+def quat_components(values: Sequence[float]) -> tuple[float, float, float, float]:
+    """The four components of a 4-list as floats."""
     if len(values) != 4:
         raise UsageError(f"a quaternion needs exactly 4 components, got {len(values)}")
-    return Quaternion(*(float(v) for v in values))
+    return tuple(float(v) for v in values)
+
+
+def quat_from_list(values: Sequence[float]) -> Quaternion:
+    return Quaternion(*quat_components(values))
 
 
 def unit_imaginary(x: float, y: float, z: float) -> Quaternion:
@@ -249,7 +256,9 @@ def quat_exp(q: Quaternion) -> Quaternion:
 
 
 def quat_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rowwise Hamilton product of (n, 4) component arrays; either may be one (4,) row.
+    """Rowwise Hamilton product of (..., 4) component arrays that broadcast together.
+
+    Either may be one (4,) row; (k, 1, 4) against (1, m, 4) gives all k*m products.
 
     Same operations in the same order as `Quaternion.__mul__`, so each row is
     bit-identical to the product of the row quaternions.
@@ -262,6 +271,10 @@ def quat_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         a * g - b * h + c * e + d * f,
         a * h + b * g - c * f + d * e,
     ), axis=-1)
+
+
+#: multiplying (n, 4) component rows by this conjugates every row, bit for bit
+CONJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def random_quaternion(rng, scale: float = 1.0) -> Quaternion:

@@ -207,8 +207,7 @@ def assemble(stems: Sequence[IntrinsicStem], side: Side) -> SliceRegularFunction
 
 def from_series(f: RegularSeries, domain: Region = ENTIRE) -> SliceRegularFunction:
     """Evaluable tensor form of a polynomial series via its intrinsic components."""
-    comps = f.intrinsic_components()
-    stems = [polynomial_stem([c.w for c in comp.coeffs], domain) for comp in comps]
+    stems = [polynomial_stem(f.rows[:, m].tolist(), domain) for m in range(4)]
     return SliceRegularFunction(f.side, stems, domain)
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import EstimationError, UsageError
-from .quaternion import ONE, Quaternion, quat_from_list, quat_mul_rows
+from .quaternion import CONJUGATE_SIGNS, ONE, Quaternion, quat_from_list, quat_mul_rows
 
 __all__ = [
     "GrowthBound",
@@ -69,9 +69,6 @@ def _rows_of(scalar: Callable[[float], Quaternion]) -> ArrayEvaluator:
         return np.array([scalar(t).components() for t in ts.tolist()]).reshape(-1, 4)
 
     return evaluate
-
-
-_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 class TimeDomainFunction:
@@ -129,7 +126,7 @@ class TimeDomainFunction:
     def conjugated(self) -> "TimeDomainFunction":
         f, f0 = self.evaluator, self.value_at_zero_plus
         return TimeDomainFunction.from_array(
-            lambda ts: f(ts) * _CONJUGATE, self.growth, self.breakpoints,
+            lambda ts: f(ts) * CONJUGATE_SIGNS, self.growth, self.breakpoints,
             f0.conjugate() if f0 is not None else None,
         )
 
@@ -138,7 +135,7 @@ class TimeDomainFunction:
         row = np.array(factor.components())
         return TimeDomainFunction.from_array(
             lambda ts: quat_mul_rows(row, f(ts)),
-            GrowthBound(g.a, g.K * max(factor.norm(), 1e-300), g.T),
+            GrowthBound(g.a, max(g.K * factor.norm(), 1e-300), g.T),
             self.breakpoints,
             factor * f0 if f0 is not None else None,
         )
@@ -148,7 +145,7 @@ class TimeDomainFunction:
         row = np.array(factor.components())
         return TimeDomainFunction.from_array(
             lambda ts: quat_mul_rows(f(ts), row),
-            GrowthBound(g.a, g.K * max(factor.norm(), 1e-300), g.T),
+            GrowthBound(g.a, max(g.K * factor.norm(), 1e-300), g.T),
             self.breakpoints,
             f0 * factor if f0 is not None else None,
         )

@@ -2,9 +2,11 @@
 prints a single pass/fail line (run with -s to see them on success)."""
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -255,10 +257,14 @@ def test_criterion_8_slice_restriction():
 
 
 def test_criterion_9_verify_all_cli():
+    # the child does not see pytest's `pythonpath`, so hand it the source tree
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "sliceregular.cli", "verify", "all", "--seed", "0"],
-        capture_output=True, text=True, timeout=180)
+        capture_output=True, text=True, timeout=180, env=env)
     elapsed = time.perf_counter() - started
     ok = proc.returncode == 0 and elapsed <= 120.0
     if not ok:

@@ -280,6 +280,63 @@ class TestDeterminismAndFormats:
         result = runner.invoke(cli, ["regprod", "--input", spec])
         assert result.output == golden
 
+    GOLDEN_EVAL = {
+    ("left", "json"): (
+        '{\n  "records": [\n    {\n      "q": [\n        0.3,\n        0.2,\n'
+        '        -0.1,\n        0.4\n      ],\n      "value": [\n'
+        '        0.05999999999999994,\n        1.115,\n        -0.22000000000000003,\n'
+        '        -0.14499999999999996\n      ],\n      "terms_used": 3,\n'
+        '      "trunc_bound": 0.6184658438426489\n    },\n    {\n      "q": [\n'
+        '        -0.5,\n        0.1,\n        0.6,\n        0.2\n      ],\n'
+        '      "value": [\n        1.77,\n        -0.9000000000000001,\n        0.575,\n'
+        '        -1.2449999999999997\n      ],\n      "terms_used": 3,\n'
+        '      "trunc_bound": 1.3606248564538281\n    },\n    {\n      "q": [\n'
+        '        0.2,\n        -0.3,\n        0.0,\n        0.5\n      ],\n'
+        '      "value": [\n        0.625,\n        1.1400000000000001,\n        0.615,\n'
+        '        -0.14999999999999997\n      ],\n      "terms_used": 3,\n'
+        '      "trunc_bound": 0.7833900688673555\n    }\n  ]\n}\n'
+    ),
+    ("left", "csv"): (
+        'q_w,q_x,q_y,q_z,value_w,value_x,value_y,value_z,terms_used,trunc_bound\n'
+        '0.29999999999999999,0.20000000000000001,-0.10000000000000001,0.40000000000000002,0.059999999999999942,1.115,-0.22000000000000003,-0.14499999999999996,3,0.61846584384264891\n'
+        '-0.5,0.10000000000000001,0.59999999999999998,0.20000000000000001,1.77,-0.90000000000000013,0.57499999999999996,-1.2449999999999997,3,1.3606248564538281\n'
+        '0.20000000000000001,-0.29999999999999999,0,0.5,0.625,1.1400000000000001,0.61499999999999999,-0.14999999999999997,3,0.78339006886735552\n'
+    ),
+    ("right", "json"): (
+        '{\n  "records": [\n    {\n      "q": [\n        0.3,\n        0.2,\n'
+        '        -0.1,\n        0.4\n      ],\n      "value": [\n'
+        '        0.05999999999999994,\n        0.6050000000000001,\n        -0.44,\n'
+        '        0.05499999999999999\n      ],\n      "terms_used": 3,\n'
+        '      "trunc_bound": 0.6184658438426489\n    },\n    {\n      "q": [\n'
+        '        -0.5,\n        0.1,\n        0.6,\n        0.2\n      ],\n'
+        '      "value": [\n        1.77,\n        0.7999999999999999,\n'
+        '        -0.17500000000000004,\n        0.15500000000000008\n      ],\n'
+        '      "terms_used": 3,\n      "trunc_bound": 1.3606248564538281\n    },\n    {\n'
+        '      "q": [\n        0.2,\n        -0.3,\n        0.0,\n        0.5\n      ],\n'
+        '      "value": [\n        0.625,\n        0.14,\n        -1.0150000000000001,\n'
+        '        -0.7499999999999999\n      ],\n      "terms_used": 3,\n'
+        '      "trunc_bound": 0.7833900688673555\n    }\n  ]\n}\n'
+    ),
+    ("right", "csv"): (
+        'q_w,q_x,q_y,q_z,value_w,value_x,value_y,value_z,terms_used,trunc_bound\n'
+        '0.29999999999999999,0.20000000000000001,-0.10000000000000001,0.40000000000000002,0.059999999999999942,0.60500000000000009,-0.44,0.054999999999999993,3,0.61846584384264891\n'
+        '-0.5,0.10000000000000001,0.59999999999999998,0.20000000000000001,1.77,0.79999999999999993,-0.17500000000000004,0.15500000000000008,3,1.3606248564538281\n'
+        '0.20000000000000001,-0.29999999999999999,0,0.5,0.625,0.14000000000000001,-1.0150000000000001,-0.74999999999999989,3,0.78339006886735552\n'
+    ),
+    }
+
+    @pytest.mark.parametrize("side, fmt", list(GOLDEN_EVAL))
+    def test_golden_eval_output(self, runner, side, fmt):
+        # off-axis probes, so that the side of the Horner products shows
+        spec = json.dumps({"side": side,
+                           "coeffs": [[1, 0.5, 0, 0], [0, 1, -1, 0.25], [0.5, 0, 0, 2]]})
+        probes = json.dumps({"points": [[0.3, 0.2, -0.1, 0.4], [-0.5, 0.1, 0.6, 0.2],
+                                        [0.2, -0.3, 0, 0.5]]})
+        result = runner.invoke(cli, ["eval", "--input", spec, "--probes", probes,
+                                     "--format", fmt])
+        assert result.exit_code == 0
+        assert result.output == self.GOLDEN_EVAL[side, fmt]
+
     def test_seventeen_digit_csv(self, runner):
         result = runner.invoke(cli, ["eval", "--input",
                                      json.dumps({"side": "left", "coeffs": [[0.1, 0, 0, 0]]}),

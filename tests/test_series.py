@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,3 +286,154 @@ class TestComponentsAndSerialization:
 
     def test_equality_ignores_trailing_zeros(self):
         assert left([1, 2]) == left([1, 2, 0, 0])
+
+
+# -- bit identity with Quaternion arithmetic --------------------------------
+#
+# The reference below is the plain scalar algorithm on Quaternion objects (the
+# double-loop Cauchy product, Horner's rule); every array operation must agree
+# with it bit for bit, so signed zeros are compared too.
+
+# magnitudes of at least 1e-3 keep the reciprocal's recursion finite
+component = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2, -1e-3), st.floats(1e-3, 2))
+exact_quaternions = st.builds(Quaternion, component, component, component, component)
+exact_coeffs = st.lists(exact_quaternions, min_size=1, max_size=13)  # degree 0-12
+factors = st.one_of(exact_quaternions, component)
+sides = st.sampled_from(list(Side))
+
+
+def ref_star(a, b):
+    out = []
+    for n in range(len(a) + len(b) - 1):
+        acc = Quaternion()
+        for k in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
+            acc = acc + a[k] * b[n - k]
+        out.append(acc)
+    return out
+
+
+def ref_trimmed(cs):
+    return cs[: max((n for n, c in enumerate(cs) if c.norm() != 0.0), default=0) + 1]
+
+
+def ref_evaluate(cs, side, q):
+    cs = ref_trimmed(cs)
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = c + q * acc if side is Side.LEFT else acc * q + c
+    return acc, len(cs), cs[-1].norm() * q.norm() ** (len(cs) - 1)
+
+
+def ref_symmetrization(cs):
+    raw = ref_star(cs, [c.conjugate() for c in cs])
+    for c in raw:
+        if c.im_norm() > 1e-13:
+            raise ConsistencyError(
+                f"symmetrization produced imaginary residue {c.im_norm():.3e} > {1e-13:.1e}")
+    return [Quaternion.real(c.w) for c in raw]
+
+
+def ref_reciprocal(cs, order):
+    if cs[0].norm() == 0.0:
+        raise SingularSeriesError("zero set of the symmetrization")
+    s = [c.w for c in ref_symmetrization(cs)]
+    inv = [1.0 / s[0]]
+    for n in range(1, order + 1):
+        acc = 0.0
+        for k in range(1, min(n, len(s) - 1) + 1):
+            acc += s[k] * inv[n - k]
+        inv.append(-acc / s[0])
+    return ref_star([Quaternion.real(v) for v in inv], [c.conjugate() for c in cs])[: order + 1]
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def assert_same_bits(series, quaternions, side):
+    assert series.side is side
+    assert series.rows.shape == (len(quaternions), 4)
+    assert series.rows.tobytes() == bits([q.components() for q in quaternions])
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (ConsistencyError, SingularSeriesError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBitIdentity:
+    @given(exact_coeffs, exact_coeffs, sides)
+    @settings(max_examples=100, deadline=None)
+    def test_star_sum_and_negation(self, a, b, side):
+        f, g = RegularSeries(a, side), RegularSeries(b, side)
+        assert_same_bits(f.star(g), ref_star(a, b), side)
+        n = max(len(a), len(b))
+        padded_a, padded_b = (cs + [Quaternion()] * (n - len(cs)) for cs in (a, b))
+        assert_same_bits(f + g, [p + q for p, q in zip(padded_a, padded_b)], side)
+        assert_same_bits(-f, [-c for c in a], side)
+
+    @given(exact_coeffs, sides, exact_quaternions, component)
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate(self, cs, side, q, x):
+        f = RegularSeries(cs, side)
+        for point, ref_point in ((q, q), (x, Quaternion.real(x))):
+            value, terms, bound = ref_evaluate(cs, side, ref_point)
+            report = f.evaluate(point)
+            assert bits(report.value.components()) == bits(value.components())
+            assert report.terms_used == terms
+            assert bits(report.trunc_bound) == bits(bound)
+
+    @given(exact_coeffs, sides, factors)
+    @settings(max_examples=100, deadline=None)
+    def test_coefficientwise_operations(self, cs, side, factor):
+        f = RegularSeries(cs, side)
+        lam = factor if isinstance(factor, Quaternion) else Quaternion.real(factor)
+        assert_same_bits(f.regular_conjugate(), [c.conjugate() for c in cs], side)
+        assert_same_bits(f.reflect(), [c.conjugate() for c in cs], side.flipped())
+        assert_same_bits(f.scale_left(factor), [lam * c for c in cs], side)
+        assert_same_bits(f.scale_right(factor), [c * lam for c in cs], side)
+        derivative = [(n + 1) * c for n, c in enumerate(cs[1:])] or [Quaternion()]
+        assert_same_bits(f.slice_derivative(), derivative, side)
+        assert_same_bits(f.trimmed(), ref_trimmed(cs), side)
+
+    @given(exact_coeffs, sides)
+    @settings(max_examples=100, deadline=None)
+    def test_components_and_reassembly(self, cs, side):
+        f = RegularSeries(cs, side)
+        parts = f.intrinsic_components()
+        for m, part in enumerate(parts):
+            assert_same_bits(part, [Quaternion.real(c.components()[m]) for c in cs], side)
+        assert_same_bits(assemble_components(parts), cs, side)
+        assert f.coeffs == tuple(cs)
+
+    @given(exact_coeffs, sides, st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_symmetrization_and_reciprocal(self, cs, side, order):
+        f = RegularSeries(cs, side)
+        expected = outcome(ref_symmetrization, cs)
+        got = outcome(f.symmetrization)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert_same_bits(got, expected, side)
+        expected = outcome(ref_reciprocal, cs, order)
+        got = outcome(f.reciprocal, order)
+        if isinstance(expected, tuple):
+            assert got[0] is expected[0]
+        else:
+            assert_same_bits(got, expected, side)
+
+    def test_three_component_coefficient_raises(self):
+        with pytest.raises(UsageError):
+            RegularSeries([[1.0, 0.0, 0.0]])
+        with pytest.raises(UsageError):
+            RegularSeries.from_json_dict({"side": "left", "coeffs": [[1.0, 0.0, 0.0]]})
+
+    def test_rows_are_read_only(self):
+        f = left([ONE, I])
+        with pytest.raises(ValueError):
+            f.rows[0, 0] = 2.0
+        assert f.coeffs == (ONE, I)

@@ -67,6 +67,13 @@ class TestFactories:
                                value_at_zero_plus=5 * ONE)
         assert f.initial_value() == 5 * ONE
 
+    def test_scaling_by_a_tiny_factor_keeps_a_positive_growth_constant(self):
+        # K * |factor| underflows to 0; the certificate clamps it to 1e-300
+        for f in (polynomial_function([Quaternion()]).scaled_left(Quaternion()),
+                  constant_function(Quaternion()).scaled_right(Quaternion(1e-200, 0, 0, 0))):
+            assert f.growth.K == 1e-300
+            assert f(1.0) == Quaternion()
+
     def test_growth_spot_check(self, rng):
         # sampled |f(t)| stays under the certificate for every factory
         fns = [
