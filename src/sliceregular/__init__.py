@@ -5,7 +5,8 @@ The package has four layers:
 * `quaternion` -- exact quaternion arithmetic and the slice structure;
 * `series` -- coefficient-level regular calculus on truncated power series;
 * `slicefn` / `stems` / `verify` -- evaluable slice regular functions in
-  tensor form (four intrinsic complex stems against the basis 1, i, j, k)
+  tensor form (one intrinsic stem with four complex components against the
+  basis 1, i, j, k)
   with finite-difference regularity verifiers;
 * `laplace` / `timefunctions` -- the left/right quaternionic Laplace
   transform engine and its operational calculus.

@@ -4,22 +4,23 @@ The left transform integral(e^{-ts} f(t) dt, t=0..inf) of a quaternion-valued
 f splits over the real components f = sum_m f_m J_m into four classical
 complex transforms evaluated on the slice of s, assembled back through the
 tensor form: that is exactly how the engine evaluates.  The four share the
-kernel e^{-tz}, so at each point one adaptive panel quadrature of a complex
-4-vector computes them together, evaluating the kernel and f once per
-panel on the array of its 15 nodes.  It truncates the half-line at a point
-T* where the analytic tail bound K e^{(a - Re s) T*} terms falls below half
-the tolerance abs_tol (with a safety factor of 10), and spends the other
-half on the panels of [0, T*]; when no T* within reach meets the target it
-raises AccuracyError carrying the tail bound.  Each component stem reports
-its own quadrature error plus the tail bound, so the four add up to at most
-0.7 abs_tol.  abs_tol is the only accuracy setting; the panel budget is
+kernel e^{-tz}, so the transform is one vector stem, and at each point one
+adaptive panel quadrature of a complex 4-vector computes its four
+components together, evaluating the kernel and f once per panel on the
+array of its 15 nodes.  It truncates the half-line at a point T* where the
+analytic tail bound K e^{(a - Re s) T*} terms falls below half the
+tolerance abs_tol (with a safety factor of 10), and spends the other half
+on the panels of [0, T*]; when no T* within reach meets the target it
+raises AccuracyError carrying the tail bound.  Each component's error bound
+is its own quadrature error plus the tail bound, so the four add up to at
+most 0.7 abs_tol.  abs_tol is the only accuracy setting; the panel budget is
 fixed.
 
-Results are slice regular functions of s on the half-plane Re(s) > a, so the
-whole operational calculus (shifts, derivative and integral rules, the
-convolution theorem) acts on stems.  Multiplication order matters: powers of
-s and scalar factors e^{-as} are intrinsic and multiply on the left; nothing
-here exposes the unlawful right-sided variants.
+Results are slice regular functions of s on the half-plane Re(s) > a, so each
+rule of the operational calculus (shifts, derivative and integral rules, the
+convolution theorem) is one stem combinator.  Multiplication order matters:
+powers of s and scalar factors e^{-as} are intrinsic and multiply on the
+left; nothing here exposes the unlawful right-sided variants.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .stems import (
     stem_product,
     stem_scale,
     stem_shift,
+    stem_stack,
     stem_sum,
 )
 from .timefunctions import GrowthBound, TimeDomainFunction, estimate_exp_order
@@ -112,22 +114,22 @@ def _truncation_point(growth: GrowthBound, breakpoints: Sequence[float],
 
 
 class _TransformStem(IntrinsicStem):
-    """Quadrature-backed stem of one real component of a transform.
+    """Quadrature-backed vector stem of a transform.
 
-    Built by `_transform_stems`; the class only marks transform stems by type.
+    Built by `_transform_stem`; the class only marks transform stems by type.
     """
 
     __slots__ = ()
 
 
-def _transform_stems(fn: TimeDomainFunction, abs_tol: float, power: int,
-                     memo: dict) -> list[_TransformStem]:
-    """The four stems of integral(e^{-tz} (-t)^power f(t) dt), one per component.
+def _transform_stem(fn: TimeDomainFunction, abs_tol: float, power: int,
+                    memo: dict) -> _TransformStem:
+    """The vector stem of integral(e^{-tz} (-t)^power f(t) dt).
 
     That is the power-th derivative of the transform, so the derivative chain
     just bumps the power.  One quadrature per (power, z) integrates all four
     components into the transform's only memo (value-identical, so the memo
-    is observably absent), and stem m reads component m and its own error.
+    is observably absent); the stem returns its (values, errors) arrays.
     The closures hold the memo but never a stem, so it is freed with the
     stems.
     """
@@ -157,18 +159,8 @@ def _transform_stems(fn: TimeDomainFunction, abs_tol: float, power: int,
         memo[(power, z)] = hit
         return hit
 
-    def stem(m: int) -> _TransformStem:
-        def evaluate_component(z: complex) -> tuple[complex, float]:
-            values, errs = evaluate(z)
-            return complex(values[m]), float(errs[m])
-
-        return _TransformStem._with_error(
-            evaluate_component, half_plane(growth.a),
-            lambda: _transform_stems(fn, abs_tol, power + 1, memo)[m],
-            f"L[f_{m}] power {power}",
-        )
-
-    return [stem(m) for m in range(4)]
+    deriv = lambda: _transform_stem(fn, abs_tol, power + 1, memo)
+    return _TransformStem._with_error(evaluate, half_plane(growth.a), deriv, f"L[f] power {power}")
 
 
 @dataclass(slots=True)
@@ -194,15 +186,15 @@ class TransformResult:
     def __call__(self, s) -> Quaternion:
         return self.evaluate(s)
 
-    def _wrap(self, stems, domain: Optional[Region] = None) -> "TransformResult":
+    def _wrap(self, stem: IntrinsicStem, domain: Optional[Region] = None) -> "TransformResult":
         dom = domain if domain is not None else self.domain
-        return TransformResult(SliceRegularFunction(self.side, stems, dom))
+        return TransformResult(SliceRegularFunction(self.side, stem, dom))
 
 
 def _transform(fn: TimeDomainFunction, side: Side, abs_tol: float) -> TransformResult:
     _check_tol(abs_tol)
-    stems = _transform_stems(fn, abs_tol, 0, {})
-    return TransformResult(SliceRegularFunction(side, stems, half_plane(fn.growth.a)))
+    stem = _transform_stem(fn, abs_tol, 0, {})
+    return TransformResult(SliceRegularFunction(side, stem, half_plane(fn.growth.a)))
 
 
 def laplace_left(fn: TimeDomainFunction, abs_tol: float = DEFAULT_ABS_TOL) -> TransformResult:
@@ -225,18 +217,13 @@ def exp_transform_closed_form(b: Quaternion, side: Side) -> TransformResult:
 
     Left: (s^2 - 2 Re(b) s + |b|^2)^(-1) (s - conj b); right: the mirror with
     the rational intrinsic factor on the right.  Componentwise both sides
-    share the same four stems; only the assembly side differs.
+    share the same stem; only the assembly side differs.
     """
     b = b if isinstance(b, Quaternion) else Quaternion.real(b)
     dom = half_plane(b.w)
     den = [b.norm_sq(), -2.0 * b.w, 1.0]
-    stems = (
-        rational_stem([-b.w, 1.0], den, dom),
-        rational_stem([b.x], den, dom),
-        rational_stem([b.y], den, dom),
-        rational_stem([b.z], den, dom),
-    )
-    return TransformResult(SliceRegularFunction(side, stems, dom))
+    stem = stem_stack([rational_stem(num, den, dom) for num in ([-b.w, 1.0], [b.x], [b.y], [b.z])])
+    return TransformResult(SliceRegularFunction(side, stem, dom))
 
 
 def shift_real(F: TransformResult, a_shift: float) -> TransformResult:
@@ -244,9 +231,8 @@ def shift_real(F: TransformResult, a_shift: float) -> TransformResult:
     a_shift = float(a_shift)
     if a_shift == 0.0:
         return F
-    stems = [stem_shift(s, a_shift) for s in F.fn.stems]
     dom = half_plane(F.domain.bounds[0] - a_shift)
-    return F._wrap(stems, dom)
+    return F._wrap(stem_shift(F.fn.stem, a_shift), dom)
 
 
 def heaviside_shift(F: TransformResult, a_shift: float) -> TransformResult:
@@ -256,9 +242,7 @@ def heaviside_shift(F: TransformResult, a_shift: float) -> TransformResult:
     """
     if a_shift <= 0:
         raise UsageError("heaviside shift must be positive")
-    factor = exp_decay_stem(a_shift, F.domain)
-    stems = [stem_product(factor, s) for s in F.fn.stems]
-    return F._wrap(stems)
+    return F._wrap(stem_product(exp_decay_stem(a_shift, F.domain), F.fn.stem))
 
 
 def transform_of_derivative(F: TransformResult, f0plus: Quaternion) -> TransformResult:
@@ -278,44 +262,34 @@ def transform_of_nth_derivative(F: TransformResult,
     n = len(initial_values)
     if n == 0:
         return F
-    stems = []
-    for m, stem in enumerate(F.fn.stems):
-        powered = stem
-        for _ in range(n):
-            powered = stem_mul_z(powered)
-        # polynomial sum_r values[r]_m z^{n-1-r}
-        coeffs = [0.0] * n
-        for r, iv in enumerate(initial_values):
-            coeffs[n - 1 - r] = iv.components()[m]
-        correction = polynomial_stem(coeffs, F.domain)
-        stems.append(stem_sum(powered, stem_scale(-1.0, correction)))
-    return F._wrap(stems)
+    powered = F.fn.stem
+    for _ in range(n):
+        powered = stem_mul_z(powered)
+    # polynomial sum_r values[r] z^{n-1-r}
+    correction = polynomial_stem([iv.components() for iv in reversed(initial_values)], F.domain)
+    return F._wrap(stem_sum(powered, stem_scale(-1.0, correction)))
 
 
 def derivative_of_transform(F: TransformResult, n: int) -> TransformResult:
     """Transform of t^n f(t): (-1)^n times the n-th slice derivative of F.
 
-    Uses the analytic derivative chain of the stems; raises CapabilityError
-    if a stem has no analytic derivative.
+    Uses the analytic derivative chain of the stem; raises CapabilityError
+    if the stem has no analytic derivative.
     """
     if n < 0:
         raise UsageError("derivative order must be non-negative")
     if n == 0:
         return F
-    stems = []
-    for stem in F.fn.stems:
-        d = stem
-        for _ in range(n):
-            d = d.derivative_stem()
-        stems.append(d if n % 2 == 0 else stem_scale(-1.0, d))
-    return F._wrap(stems)
+    d = F.fn.stem
+    for _ in range(n):
+        d = d.derivative_stem()
+    return F._wrap(d if n % 2 == 0 else stem_scale(-1.0, d))
 
 
 def transform_of_integral(F: TransformResult) -> TransformResult:
     """Transform of the running integral of f: s^{-1} F(s) on Re(s) > max(a, 0)."""
-    stems = [stem_div_z(s) for s in F.fn.stems]
     dom = half_plane(max(F.domain.bounds[0], 0.0))
-    return F._wrap(stems, dom)
+    return F._wrap(stem_div_z(F.fn.stem), dom)
 
 
 # -- convolution ------------------------------------------------------------------
@@ -437,8 +411,7 @@ def laplace_of_convolution(f: TimeDomainFunction, g: TimeDomainFunction,
     F = laplace_left(f, abs_tol)
     G = laplace_left(g, abs_tol)
     dom = half_plane(max(f.growth.a, g.growth.a))
-    product_fn = F.fn.star(G.fn)
-    via_product = TransformResult(SliceRegularFunction(Side.LEFT, product_fn.stems, dom))
+    via_product = TransformResult(SliceRegularFunction(Side.LEFT, F.fn.star(G.fn).stem, dom))
     return ConvolutionTransform(
         via_product, lambda: laplace_left(convolution(f, g, abs_tol), abs_tol))
 

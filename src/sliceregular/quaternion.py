@@ -55,10 +55,6 @@ class Quaternion:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def re(self) -> float:
-        return self.w
-
     def im(self) -> "Quaternion":
         return Quaternion(0.0, self.x, self.y, self.z)
 
@@ -87,12 +83,6 @@ class Quaternion:
 
     def dot(self, other: "Quaternion") -> float:
         return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-
-    def is_real(self, tol: float = 0.0) -> bool:
-        return self.im_norm() <= tol
-
-    def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
@@ -212,9 +202,6 @@ class SliceCoordinates:
 
     def to_quaternion(self) -> Quaternion:
         return slice_embed(self.x, self.y, self.unit)
-
-    def to_complex(self) -> complex:
-        return complex(self.x, self.y)
 
 
 def slice_decompose(q: Quaternion, real_axis_unit: Quaternion = REAL_AXIS_UNIT) -> SliceCoordinates:

@@ -254,6 +254,8 @@ class RegularSeries:
                 "symmetrization f^s, so the regular reciprocal is undefined at the origin"
             )
         s = self.symmetrization()._rows[:, 0].tolist()
+        if s[0] == 0.0:
+            raise SingularSeriesError("|a_0|^2 underflows to 0 although a_0 != 0")
         inv = [1.0 / s[0]]
         for n in range(1, order + 1):
             acc = 0.0
@@ -264,8 +266,12 @@ class RegularSeries:
         inv_rows[:, 0] = inv
         # coefficients of f^c past `order` reach no kept coefficient of the product
         conj = RegularSeries._from_rows(self._rows[: order + 1] * CONJUGATE_SIGNS, self.side)
-        product = RegularSeries._from_rows(inv_rows, self.side).star(conj)
-        return RegularSeries._from_rows(product._rows[: order + 1], self.side)
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = RegularSeries._from_rows(inv_rows, self.side).star(conj)
+        rows = product._rows[: order + 1]
+        if not np.isfinite(rows).all():
+            raise SingularSeriesError(f"the reciprocal overflows: |a_0|^2 = {s[0]:.3e}")
+        return RegularSeries._from_rows(rows, self.side)
 
     def slice_derivative(self) -> "RegularSeries":
         """Termwise derivative a_n -> (n+1) a_{n+1}; preserves the side."""

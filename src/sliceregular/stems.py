@@ -1,12 +1,17 @@
-"""Intrinsic complex stems: the scalar building blocks of slice functions.
+"""Intrinsic complex stems: the building blocks of slice functions.
 
 A stem is a holomorphic evaluator on an axially symmetric complex region
 satisfying the reflection symmetry f(conj z) = conj(f(z)) (equivalently, a
-power series with real coefficients).  Stems are callables plus an optional
-analytic derivative; there is no symbolic layer, because transform stems are
-defined by quadrature and are only evaluable.  Differentiation is analytic
-only: a missing derivative is a CapabilityError, and the numeric
-difference quotient is a separate, explicit stem.
+power series with real coefficients).  A scalar stem returns a complex value
+and a float error bound; a vector stem returns the (4,) complex array of the
+components of a slice function against the basis (1, i, j, k), with a float
+or (4,) error bound.  The combinators broadcast, so each is one definition
+for both; `stem_stack` builds a vector stem from four scalar ones, and
+`stem_star` multiplies two vector stems as quaternions.  Stems are callables
+plus an optional analytic derivative; there is no symbolic layer, because
+transform stems are defined by quadrature and are only evaluable.
+Differentiation is analytic only: a missing derivative is a CapabilityError,
+and the numeric difference quotient is a separate, explicit stem.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 from typing import Callable, Sequence, Union
+
+import numpy as np
 
 from .errors import CapabilityError, PoleError, UsageError
 from .regions import Region, disk
@@ -32,6 +39,8 @@ __all__ = [
     "stem_shift",
     "stem_mul_z",
     "stem_div_z",
+    "stem_stack",
+    "stem_star",
     "numeric_derivative_stem",
     "symmetry_defect",
 ]
@@ -51,7 +60,8 @@ class IntrinsicStem:
     """Evaluable intrinsic holomorphic function of one complex variable.
 
     A stem holds one evaluator returning (value, absolute error bound).  The
-    public constructor takes a value-only evaluator, which is exact (error 0).
+    public constructor takes a value-only scalar evaluator, which is exact
+    (error 0).
     """
 
     __slots__ = ("_eval", "domain", "_derivative", "name")
@@ -103,10 +113,11 @@ class IntrinsicStem:
 def numeric_derivative_stem(stem: IntrinsicStem, h: float = NUMERIC_STEP) -> IntrinsicStem:
     """4-point central-difference derivative along the real direction."""
 
-    def ev(z: complex) -> complex:
-        return (-stem(z + 2 * h) + 8 * stem(z + h) - 8 * stem(z - h) + stem(z - 2 * h)) / (12 * h)
+    def ev(z: complex):
+        d = -stem(z + 2 * h) + 8 * stem(z + h) - 8 * stem(z - h) + stem(z - 2 * h)
+        return d / (12 * h), 0.0
 
-    return IntrinsicStem(
+    return IntrinsicStem._with_error(
         ev,
         stem.domain,
         derivative=lambda: numeric_derivative_stem(numeric_derivative_stem(stem, h), h),
@@ -157,15 +168,24 @@ def _poly_derivative(coeffs: Sequence[float]) -> list[float]:
     return [n * c for n, c in enumerate(coeffs) if n > 0]
 
 
-def polynomial_stem(coeffs: Sequence[float], domain: Region = ENTIRE) -> IntrinsicStem:
-    """Real-coefficient polynomial sum_n coeffs[n] z^n."""
-    cs = [float(c) for c in coeffs] or [0.0]
-    return IntrinsicStem(
-        lambda z: _poly_eval(cs, z),
-        domain,
-        derivative=lambda: polynomial_stem(_poly_derivative(cs), domain),
-        name=f"poly deg {len(cs) - 1}",
-    )
+def polynomial_stem(coeffs, domain: Region = ENTIRE) -> IntrinsicStem:
+    """Real-coefficient polynomial sum_n coeffs[n] z^n.
+
+    Coefficients of shape (n,) give a scalar stem; rows of shape (n, 4) give
+    the vector stem whose component m has the coefficients rows[:, m].
+    """
+    cs = np.asarray(coeffs, dtype=float)
+    cs = cs if len(cs) else np.zeros((1, *cs.shape[1:]))
+    if cs.ndim == 1:
+        c = cs.tolist()
+        ev = lambda z: (_poly_eval(c, z), 0.0)
+    else:
+        cols = cs.T.tolist()
+        ev = lambda z: (np.array([_poly_eval(c, z) for c in cols]), 0.0)
+    # the constant row drops out; a constant's derivative is the zero row
+    n = np.arange(float(len(cs))).reshape(-1, *(1,) * (cs.ndim - 1))
+    deriv = lambda: polynomial_stem((cs * n)[1:], domain)
+    return IntrinsicStem._with_error(ev, domain, deriv, f"poly deg {len(cs) - 1}")
 
 
 def rational_stem(num: Sequence[float], den: Sequence[float], domain: Region) -> IntrinsicStem:
@@ -255,15 +275,16 @@ def stem_product(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
     return IntrinsicStem._with_error(ev, _common_domain(a, b), deriv, f"({a.name})*({b.name})")
 
 
-def stem_scale(factor: float, a: IntrinsicStem) -> IntrinsicStem:
-    f = float(factor)
+def stem_scale(factor, a: IntrinsicStem) -> IntrinsicStem:
+    """A real factor, or a (4,) array of real factors, one per component."""
+    f = float(factor) if np.ndim(factor) == 0 else np.asarray(factor, dtype=float)
 
     def ev(z):
         v, e = a.eval_with_error(z)
         return f * v, abs(f) * e
 
     deriv = lambda: stem_scale(f, a.derivative_stem())
-    return IntrinsicStem._with_error(ev, a.domain, deriv, f"{f:g}*({a.name})")
+    return IntrinsicStem._with_error(ev, a.domain, deriv, f"{f}*({a.name})")
 
 
 def stem_shift(a: IntrinsicStem, offset: float) -> IntrinsicStem:
@@ -311,3 +332,56 @@ def stem_div_z(a: IntrinsicStem) -> IntrinsicStem:
         stem_scale(-1.0, stem_div_z(stem_div_z(a))),
     )
     return IntrinsicStem._with_error(ev, a.domain, deriv, f"({a.name})/z")
+
+
+def stem_stack(parts: Sequence[IntrinsicStem]) -> IntrinsicStem:
+    """The vector stem whose four components are the scalar stems `parts`."""
+    parts = tuple(parts)
+    domain = parts[0].domain
+    for p in parts[1:]:
+        domain = domain.intersect(p.domain)
+
+    def ev(z):
+        values, errors = zip(*(p.eval_with_error(z) for p in parts))
+        return np.array(values), np.array(errors)
+
+    deriv = lambda: stem_stack([p.derivative_stem() for p in parts])
+    name = "[" + ", ".join(p.name for p in parts) + "]"
+    return IntrinsicStem._with_error(ev, domain, deriv, name)
+
+
+# the sign of e_m e_n = +-e_{m ^ n} for the units e_0..e_3 = 1, i, j, k
+_HAMILTON_SIGNS = ((1, 1, 1, 1), (1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))
+
+
+def _components(error) -> list[float]:
+    """A vector stem's error bound as four floats (a float bounds each component)."""
+    return [error] * 4 if isinstance(error, float) else error.tolist()
+
+
+def stem_star(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
+    """Star product of two vector stems: the Hamilton product of their components.
+
+    Intrinsic components commute with the basis, so one product serves left
+    and right functions.  Component p sums sign * a_m b_{m ^ p} over ascending
+    m in plain complex arithmetic, each term with the bound
+    |a_m| e(b_n) + |b_n| e(a_m) + e(a_m) e(b_n).
+    """
+
+    def ev(z):
+        (va, ea), (vb, eb) = a.eval_with_error(z), b.eval_with_error(z)
+        va, ea, vb, eb = va.tolist(), _components(ea), vb.tolist(), _components(eb)
+        values, errors = [], []
+        for p in range(4):
+            for m in range(4):
+                n = m ^ p
+                # -1.0 * x, not -x: the complex product fixes the signs of zeros
+                term = va[m] * vb[n] if _HAMILTON_SIGNS[m][n] > 0 else -1.0 * (va[m] * vb[n])
+                bound = abs(va[m]) * eb[n] + abs(vb[n]) * ea[m] + ea[m] * eb[n]
+                value, error = (term, bound) if m == 0 else (value + term, error + bound)
+            values.append(value)
+            errors.append(error)
+        return np.array(values), np.array(errors)
+
+    deriv = lambda: stem_sum(stem_star(a.derivative_stem(), b), stem_star(a, b.derivative_stem()))
+    return IntrinsicStem._with_error(ev, _common_domain(a, b), deriv, f"({a.name})*({b.name})")

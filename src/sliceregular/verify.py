@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 DEFAULT_STEP = 1e-5
-DEFAULT_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(slots=True)
@@ -39,9 +38,6 @@ class ResidualReport:
     max_residual: float
     residuals: list[float] = field(default_factory=list)
     probes: list[SliceCoordinates] = field(default_factory=list)
-
-    def passed(self, threshold: float = DEFAULT_RESIDUAL_TOL) -> bool:
-        return self.max_residual <= threshold
 
     def to_json_dict(self) -> dict:
         return {

@@ -337,6 +337,103 @@ class TestDeterminismAndFormats:
         assert result.exit_code == 0
         assert result.output == self.GOLDEN_EVAL[side, fmt]
 
+    GOLDEN_TABLE = {
+    ('cauchy_kernel', 'json'): (
+        '{\n  "records": [\n    {\n      "q": [\n        2.5,\n        0.5,\n'
+        '        -1.0,\n        0.3\n      ],\n      "value": [\n'
+        '        -0.14888810858187185,\n        -0.05543559103187617,\n'
+        '        -0.26017402075309454,\n        0.07954523461282179\n      ]\n    },\n'
+        '    {\n      "q": [\n        3.0,\n        0.0,\n        0.0,\n        0.0\n'
+        '      ],\n      "value": [\n        -0.25,\n        0.0,\n        -0.25,\n'
+        '        0.0\n      ]\n    },\n    {\n      "q": [\n        0.05,\n        0.1,\n'
+        '        0.0,\n        0.0\n      ],\n'
+        '      "error": "0.05+0.1i lies outside the annulus domain (2.23606797749979, inf)"\n'
+        '    }\n  ]\n}\n'
+    ),
+    ('cauchy_kernel', 'csv'): (
+        'q_w,q_x,q_y,q_z,value_w,value_x,value_y,value_z,error\n'
+        '2.5,0.5,-1,0.29999999999999999,-0.14888810858187185,-0.055435591031876168,-0.26017402075309454,0.079545234612821786,\n'
+        '3,0,0,0,-0.25,0,-0.25,0,\n'
+        '0.050000000000000003,0.10000000000000001,0,0,,,,,0.05+0.1i lies outside the annulus domain (2.23606797749979, inf)\n'
+    ),
+    ('cauchy_kernel_right', 'json'): (
+        '{\n  "records": [\n    {\n      "q": [\n        2.5,\n        0.5,\n'
+        '        -1.0,\n        0.3\n      ],\n      "value": [\n'
+        '        0.322285561294497,\n        0.0035697950714516733,\n'
+        '        0.12282326167713435,\n        0.01996854118093282\n      ]\n    },\n'
+        '    {\n      "q": [\n        3.0,\n        0.0,\n        0.0,\n        0.0\n'
+        '      ],\n      "value": [\n        0.29795158286778406,\n'
+        '        0.06517690875232775,\n        0.009310986964618252,\n        0.0\n'
+        '      ]\n    },\n    {\n      "q": [\n        0.05,\n        0.1,\n        0.0,\n'
+        '        0.0\n      ],\n'
+        '      "error": "0.05+0.1i lies outside the annulus domain (0.7348469228349533, inf)"\n'
+        '    }\n  ]\n}\n'
+    ),
+    ('cauchy_kernel_right', 'csv'): (
+        'q_w,q_x,q_y,q_z,value_w,value_x,value_y,value_z,error\n'
+        '2.5,0.5,-1,0.29999999999999999,0.32228556129449698,0.0035697950714516733,0.12282326167713435,0.01996854118093282,\n'
+        '3,0,0,0,0.29795158286778406,0.065176908752327747,0.0093109869646182519,0,\n'
+        '0.050000000000000003,0.10000000000000001,0,0,,,,,0.05+0.1i lies outside the annulus domain (0.7348469228349533, inf)\n'
+    ),
+    ('exp_transform_left', 'json'): (
+        '{\n  "records": [\n    {\n      "q": [\n        2.5,\n        0.5,\n'
+        '        -1.0,\n        0.3\n      ],\n      "value": [\n'
+        '        0.38476579363023683,\n        0.04108705478443264,\n'
+        '        0.10091468214668431,\n        0.020061046526391707\n      ]\n    },\n'
+        '    {\n      "q": [\n        3.0,\n        0.0,\n        0.0,\n        0.0\n'
+        '      ],\n      "value": [\n        0.3118279569892473,\n'
+        '        0.04301075268817205,\n        -0.03225806451612903,\n'
+        '        0.0860215053763441\n      ]\n    },\n    {\n      "q": [\n        0.05,\n'
+        '        0.1,\n        0.0,\n        0.0\n      ],\n'
+        '      "error": "0.05+0.1i lies outside the half-plane domain (0.1,)"\n    }\n  ]\n'
+        '}\n'
+    ),
+    ('exp_transform_left', 'csv'): (
+        'q_w,q_x,q_y,q_z,value_w,value_x,value_y,value_z,error\n'
+        '2.5,0.5,-1,0.29999999999999999,0.38476579363023683,0.041087054784432642,0.10091468214668431,0.020061046526391707,\n'
+        '3,0,0,0,0.31182795698924731,0.043010752688172053,-0.032258064516129031,0.086021505376344107,\n'
+        '0.050000000000000003,0.10000000000000001,0,0,,,,,0.05+0.1i lies outside the half-plane domain (0.1,)\n'
+    ),
+    ('exp_transform_right', 'json'): (
+        '{\n  "records": [\n    {\n      "q": [\n        2.5,\n        0.5,\n'
+        '        -1.0,\n        0.3\n      ],\n      "value": [\n'
+        '        0.38476579363023683,\n        -0.07430205333699003,\n'
+        '        0.055409118380489474,\n        0.06069101417477997\n      ]\n    },\n'
+        '    {\n      "q": [\n        3.0,\n        0.0,\n        0.0,\n        0.0\n'
+        '      ],\n      "value": [\n        0.3118279569892473,\n'
+        '        0.04301075268817205,\n        -0.03225806451612903,\n'
+        '        0.0860215053763441\n      ]\n    },\n    {\n      "q": [\n        0.05,\n'
+        '        0.1,\n        0.0,\n        0.0\n      ],\n'
+        '      "error": "0.05+0.1i lies outside the half-plane domain (0.1,)"\n    }\n  ]\n'
+        '}\n'
+    ),
+    ('exp_transform_right', 'csv'): (
+        'q_w,q_x,q_y,q_z,value_w,value_x,value_y,value_z,error\n'
+        '2.5,0.5,-1,0.29999999999999999,0.38476579363023683,-0.074302053336990026,0.055409118380489474,0.06069101417477997,\n'
+        '3,0,0,0,0.31182795698924731,0.043010752688172053,-0.032258064516129031,0.086021505376344107,\n'
+        '0.050000000000000003,0.10000000000000001,0,0,,,,,0.05+0.1i lies outside the half-plane domain (0.1,)\n'
+    ),
+    }
+
+    TABLE_SPECS = {
+        "cauchy_kernel": {"function": "cauchy_kernel", "s": [1, 0, 2, 0]},
+        "cauchy_kernel_right": {"function": "cauchy_kernel_right", "q": [-0.2, 0.7, 0.1, 0]},
+        "exp_transform_left": {"function": "exp_transform", "b": [0.1, 0.4, -0.3, 0.8],
+                               "side": "left"},
+        "exp_transform_right": {"function": "exp_transform", "b": [0.1, 0.4, -0.3, 0.8],
+                                "side": "right"},
+    }
+
+    @pytest.mark.parametrize("name, fmt", list(GOLDEN_TABLE))
+    def test_golden_table_output(self, runner, name, fmt):
+        # an off-axis probe, a real one, and one outside every domain
+        probes = json.dumps({"points": [[2.5, 0.5, -1.0, 0.3], [3, 0, 0, 0],
+                                        [0.05, 0.1, 0, 0]]})
+        result = runner.invoke(cli, ["table", "--input", json.dumps(self.TABLE_SPECS[name]),
+                                     "--probes", probes, "--format", fmt])
+        assert result.exit_code == 1  # the error record fails the command
+        assert result.output == self.GOLDEN_TABLE[name, fmt]
+
     def test_seventeen_digit_csv(self, runner):
         result = runner.invoke(cli, ["eval", "--input",
                                      json.dumps({"side": "left", "coeffs": [[0.1, 0, 0, 0]]}),

@@ -169,6 +169,16 @@ class TestReciprocal:
         with pytest.raises(SingularSeriesError, match="zero set of the symmetrization"):
             left([0, 1]).reciprocal(3)
 
+    @pytest.mark.parametrize("coeffs, what", [
+        ([1e-170, 1], "underflows"),
+        ([1e-150, 1], "overflows"),
+        ([[1e-160, 1e-160, 0, 0], [0, 1, 0, 0]], "overflows"),
+    ], ids=["a0-squared-underflows", "recursion-overflows", "inverse-overflows"])
+    def test_tiny_constant_raises_naming_the_range(self, coeffs, what):
+        # a_0 != 0, but |a_0|^2 or the inverse leaves the double range
+        with pytest.raises(SingularSeriesError, match=what):
+            left(coeffs).reciprocal(2)
+
     def test_pointwise_identity_at_real_points(self):
         # independent route: the truncated reciprocal multiplies back to 1 at
         # small real points, checked against plain quaternion arithmetic

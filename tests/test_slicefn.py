@@ -1,6 +1,10 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceregular.errors import CapabilityError, DomainError, PoleError, StemSymmetryError, UsageError
 from sliceregular.quaternion import (
@@ -8,6 +12,7 @@ from sliceregular.quaternion import (
     J,
     K,
     ONE,
+    UNITS,
     Quaternion,
     quat_exp,
     random_quaternion,
@@ -27,11 +32,16 @@ from sliceregular.slicefn import (
     from_series,
 )
 from sliceregular.stems import (
+    ENTIRE,
     IntrinsicStem,
     constant_stem,
     exp_stem,
     identity_stem,
     polynomial_stem,
+    stem_product,
+    stem_scale,
+    stem_star,
+    stem_sum,
 )
 from sliceregular.verify import (
     complex_cr_residual,
@@ -47,6 +57,35 @@ from conftest import assert_qclose
 
 def left_series(coeffs):
     return RegularSeries(coeffs, Side.LEFT)
+
+
+def fixed_stem(value, error):
+    """A stem that returns (value, error) wherever it is evaluated."""
+    return IntrinsicStem._with_error(lambda z: (value, error), ENTIRE, None, "fixed")
+
+
+def reference_star(a, b):
+    """The star product of four scalar stems by four, one stem per component:
+    16 stem products, negated where e_m e_n = -e_p, summed over ascending m."""
+    buckets = [[], [], [], []]
+    for m in range(4):
+        for n in range(4):
+            prod = UNITS[m] * UNITS[n]
+            p = next(p for p, base in enumerate(UNITS) if abs(prod.dot(base)) > 0.5)
+            term = stem_product(a[m], b[n])
+            buckets[p].append(term if prod.dot(UNITS[p]) > 0 else stem_scale(-1.0, term))
+    out = []
+    for parts in buckets:
+        acc = parts[0]
+        for extra in parts[1:]:
+            acc = stem_sum(acc, extra)
+        out.append(acc)
+    return out
+
+
+signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False))
+component_values = st.lists(st.builds(complex, signed, signed), min_size=4, max_size=4)
+component_errors = st.lists(st.floats(0.0, 1e-3), min_size=4, max_size=4)
 
 
 class TestExtend:
@@ -171,6 +210,33 @@ class TestStarProduct:
             from_series(left_series([ONE])).star(
                 from_series(RegularSeries([ONE], Side.RIGHT)))
 
+    @given(component_values, component_errors, component_values, component_errors)
+    @settings(max_examples=200, deadline=None)
+    def test_stem_star_matches_scalar_contraction_bit_for_bit(self, va, ea, vb, eb):
+        star = stem_star(fixed_stem(np.array(va), np.array(ea)),
+                         fixed_stem(np.array(vb), np.array(eb)))
+        reference = reference_star([fixed_stem(v, e) for v, e in zip(va, ea)],
+                                   [fixed_stem(v, e) for v, e in zip(vb, eb)])
+        z = complex(0.5, 0.25)
+        values, errors = star.eval_with_error(z)
+        want = [stem.eval_with_error(z) for stem in reference]
+        assert values.tobytes() == np.array([v for v, _ in want]).tobytes()
+        assert errors.tobytes() == np.array([e for _, e in want]).tobytes()
+
+    def test_star_evaluates_each_component_stem_once(self):
+        calls = Counter()
+
+        def counting(key, value):
+            def ev(z):
+                calls[key] += 1
+                return value
+            return IntrinsicStem(ev)
+
+        F = assemble([counting(("F", m), complex(m + 1, 0.5)) for m in range(4)], Side.LEFT)
+        G = assemble([counting(("G", m), complex(0.25, m - 1)) for m in range(4)], Side.LEFT)
+        F.star(G).evaluate(Quaternion(0.3, 0.2, -0.4, 0.1))
+        assert calls == {(name, m): 1 for name in "FG" for m in range(4)}
+
 
 class TestReflectionAndConjugate:
     def test_reflect_constant(self):
@@ -267,7 +333,7 @@ class TestSliceDerivative:
 
     def test_capability_error(self):
         bare = IntrinsicStem(lambda z: z * z, disk(2.0))
-        F = SliceRegularFunction(Side.LEFT, (bare, bare, bare, bare), disk(2.0))
+        F = assemble([bare] * 4, Side.LEFT)
         with pytest.raises(CapabilityError):
             F.slice_derivative()
 
