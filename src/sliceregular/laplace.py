@@ -7,7 +7,7 @@ tensor form: that is exactly how the engine evaluates.  The four share the
 kernel e^{-tz}, so the transform is one vector stem, and at each point one
 adaptive panel quadrature of a complex 4-vector computes its four
 components together, evaluating the kernel and f once per panel on the
-array of its 15 nodes.  It truncates the half-line at a point T* where the
+array of its 21 nodes.  It truncates the half-line at a point T* where the
 analytic tail bound K e^{(a - Re s) T*} terms falls below half the
 tolerance abs_tol (with a safety factor of 10), and spends the other half
 on the panels of [0, T*]; when no T* within reach meets the target it
@@ -98,12 +98,13 @@ def _tail_bound(T: float, lam: float, K: float, power: int) -> float:
     return K * math.exp(-lam * T) * total
 
 
-def _truncation_point(growth: GrowthBound, breakpoints: Sequence[float],
-                      lam: float, power: int, abs_tol: float) -> float:
+def _truncation_point(growth: GrowthBound, lam: float, power: int, abs_tol: float) -> float:
     """Where the tail bound first falls below its share of abs_tol, in steps
-    of 1.5x; AccuracyError with the last tail bound if 200 steps miss it."""
+    of 1.5x from max(growth.T, 1); AccuracyError with the last tail bound if
+    200 steps miss it.  Breakpoints play no part: the tail bound needs only
+    the certificate, and those past T* lie outside [0, T*]."""
     target = abs_tol / (2.0 * _TAIL_SAFETY)
-    T = max(growth.T, max(breakpoints, default=0.0), 1.0)
+    T = max(growth.T, 1.0)
     for _ in range(200):
         tail = _tail_bound(T, lam, growth.K, power)
         if tail <= target:
@@ -145,7 +146,7 @@ def _transform_stem(fn: TimeDomainFunction, abs_tol: float, power: int,
             raise DomainError(
                 f"transform evaluation needs Re(s) > {growth.a:g}, got {z.real:g}"
             )
-        T = _truncation_point(growth, breakpoints, lam, power, abs_tol)
+        T = _truncation_point(growth, lam, power, abs_tol)
 
         def integrand(t: np.ndarray) -> np.ndarray:
             return (np.exp(-t * z) * (-t) ** power)[:, None] * fn.evaluator(t)

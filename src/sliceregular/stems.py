@@ -224,9 +224,8 @@ def _poly_sub(a: Sequence[float], b: Sequence[float]) -> list[float]:
 
 
 def exp_stem(domain: Region = ENTIRE) -> IntrinsicStem:
-    stem = IntrinsicStem(cmath.exp, domain, name="exp")
-    stem._derivative = stem  # its own derivative
-    return stem
+    # its own derivative, built afresh so that no stem refers to itself
+    return IntrinsicStem(cmath.exp, domain, derivative=lambda: exp_stem(domain), name="exp")
 
 
 def exp_decay_stem(rate: float, domain: Region = ENTIRE) -> IntrinsicStem:

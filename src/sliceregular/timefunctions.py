@@ -230,8 +230,8 @@ def heaviside_shifted(inner: TimeDomainFunction, shift: float) -> TimeDomainFunc
 
     f is evaluated only at t >= shift, so it need not be defined before 0.
     """
-    if shift <= 0:
-        raise UsageError("heaviside shift must be positive")
+    if not 0 < shift < math.inf:
+        raise UsageError(f"heaviside shift must be positive and finite, got {shift!r}")
     g = inner.growth
     f = inner.evaluator
 
@@ -302,6 +302,10 @@ def time_function_from_json(spec: dict) -> TimeDomainFunction:
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed exp_order: {exc}") from exc
     breaks = spec.get("breakpoints", fn.breakpoints)
+    if not isinstance(breaks, (list, tuple)) or not all(
+            isinstance(b, (int, float)) and not isinstance(b, bool) and 0 <= b < math.inf
+            for b in breaks):
+        raise UsageError(f"breakpoints must be a list of finite numbers >= 0, got {breaks!r}")
     f0 = fn.value_at_zero_plus
     if "value_at_zero_plus" in spec:
         f0 = quat_from_list(spec["value_at_zero_plus"])

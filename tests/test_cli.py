@@ -88,6 +88,29 @@ class TestTransform:
         assert result.exit_code == 2
         assert "line" in result.output  # diagnostics carry a position
 
+    @pytest.mark.parametrize("at", [1e4, 1e6])
+    def test_breakpoint_past_the_truncation_point_keeps_the_value(self, runner, at):
+        spec = json.dumps({"kind": "exp", "b": [0, 1, 0, 0], "breakpoints": [at]})
+        result = runner.invoke(cli, ["transform", "--input", spec,
+                                     "--probes", json.dumps({"points": [[1, 0.5, 0, 0]]})])
+        assert result.exit_code == 0, result.output
+        rec = json.loads(result.output)["records"][0]
+        # 1 / (s - i) at s = 1 + 0.5i
+        assert (quat_from_list(rec["value"]) - Quaternion(0.8, 0.4, 0, 0)).norm() <= rec["est_error"]
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "exp", "b": [0, 1, 0, 0], "breakpoints": ["a"]},
+        {"kind": "exp", "b": [0, 1, 0, 0], "breakpoints": 5},
+        {"kind": "exp", "b": [0, 1, 0, 0], "breakpoints": [-1.0]},
+        {"kind": "exp", "b": [0, 1, 0, 0], "breakpoints": [float("nan")]},
+        {"kind": "heaviside_shift", "shift": "nan", "inner": {"kind": "exp", "b": [0, 1, 0, 0]}},
+        {"kind": "heaviside_shift", "shift": "inf", "inner": {"kind": "exp", "b": [0, 1, 0, 0]}},
+    ])
+    def test_malformed_time_metadata_exit_2(self, runner, spec):
+        result = runner.invoke(cli, ["transform", "--input", json.dumps(spec),
+                                     "--probes", PROBES_3])
+        assert result.exit_code == 2, result.output
+
     def test_unknown_kind_exit_2(self, runner):
         result = runner.invoke(cli, ["transform", "--input",
                                      json.dumps({"kind": "wavelet"}),

@@ -33,6 +33,7 @@ from sliceregular.quaternion import (
 )
 from sliceregular.regions import half_plane
 from sliceregular.series import Side
+from sliceregular.slicefn import exp_function
 from sliceregular.timefunctions import (
     GrowthBound,
     TimeDomainFunction,
@@ -597,7 +598,8 @@ class TestLifetime:
             F = laplace_left(f)
             results = [F, laplace_right(f), laplace_of_convolution(f, f).via_product,
                        derivative_of_transform(F, 2), heaviside_shift(F, 0.5),
-                       shift_real(F, 0.5), transform_of_integral(F), F.fn.reflect()]
+                       shift_real(F, 0.5), transform_of_integral(F), F.fn.reflect(),
+                       exp_function()]
             for result in results:
                 result.evaluate(s)
             del F, results, result

@@ -5,10 +5,11 @@ import pytest
 
 from sliceregular import quadrature
 from sliceregular.errors import AccuracyError
-from sliceregular.laplace import convolve
+from sliceregular.laplace import convolve, exp_transform_closed_form, laplace_left
 from sliceregular.quadrature import integrate_adaptive
-from sliceregular.quaternion import ONE, Quaternion
-from sliceregular.timefunctions import constant_function
+from sliceregular.quaternion import ONE, I, J, Quaternion, slice_embed
+from sliceregular.series import Side
+from sliceregular.timefunctions import constant_function, exponential_function
 
 
 def test_polynomial_exact():
@@ -71,8 +72,8 @@ def test_integrand_called_once_per_panel_with_its_nodes():
     panels = []
 
     def wiggle(t):
-        assert t.shape == (15,)
-        mid, half = t[7], (t[-1] - t[0]) / (2 * quadrature._XGK[-1])
+        assert t.shape == (quadrature._XGK.size,)
+        mid, half = t[t.size // 2], (t[-1] - t[0]) / (2 * quadrature._XGK[-1])
         assert np.allclose(t, mid + half * quadrature._XGK, rtol=0, atol=1e-14)
         panels.append((round(mid - half, 12), round(mid + half, 12)))
         return (np.sin(7 * t) / (1 + t))[:, None]
@@ -89,3 +90,57 @@ def test_non_finite_integrand_raises_with_an_infinite_bound():
     with pytest.raises(AccuracyError) as info:
         integrate_adaptive(lambda t: np.exp(1000 * t)[:, None], 0.0, 1.0, abs_tol=1e-10)
     assert info.value.achieved == math.inf
+
+
+class TestRule:
+    """The panel rule is QUADPACK's qk21: Kronrod 21 points around Gauss 10."""
+
+    def test_gauss_nodes_and_weights_are_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert np.abs(quadrature._XGK[1::2] - nodes).max() <= 1e-15
+        assert np.abs(quadrature._WG - weights).max() <= 1e-15
+
+    def test_kronrod_row_is_exact_to_degree_31(self):
+        kronrod = quadrature._WEIGHTS[0]
+        for k in range(32):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(kronrod @ quadrature._XGK**k - exact) <= 1e-15, k
+
+    def test_difference_row_annihilates_degree_19_but_not_20(self):
+        difference = quadrature._WEIGHTS[1]
+        for k in range(20):
+            assert abs(difference @ quadrature._XGK**k) <= 1e-15, k
+        assert abs(difference @ quadrature._XGK**20) > 1e-6
+
+    def test_weight_sums(self):
+        kronrod, difference = quadrature._WEIGHTS
+        assert abs(kronrod.sum() - 2.0) <= 1e-15
+        assert abs(difference.sum()) <= 1e-15
+
+
+# laplace_left(e^{jt}) near the edge Re s = 0 of its half-plane, where
+# [0, T*] holds many oscillations for the panel budget
+EDGE_PROBES = [slice_embed(x, float(y), I) for x in (0.03, 0.05, 0.1, 0.2)
+               for y in (0, 2, 5, 10, 15, 20, 30)]
+
+
+def test_near_edge_values_lie_within_their_error_bound():
+    F = laplace_left(exponential_function(J))
+    closed = exp_transform_closed_form(J, Side.LEFT)
+    evaluated = 0
+    for s in EDGE_PROBES:
+        try:
+            value, err = F.evaluate_with_error(s)
+        except AccuracyError as exc:
+            assert "budget" in str(exc) and exc.achieved > 0
+            continue
+        evaluated += 1
+        assert (value - closed.evaluate(s)).norm() <= err, s
+    assert evaluated > len(EDGE_PROBES) // 2
+
+
+@pytest.mark.parametrize("s", [slice_embed(0.2, 30.0, I), slice_embed(0.1, 10.0, I)])
+def test_near_edge_probes_within_the_panel_budget(s):
+    value, err = laplace_left(exponential_function(J)).evaluate_with_error(s)
+    closed = exp_transform_closed_form(J, Side.LEFT).evaluate(s)
+    assert err <= 1e-10 and (value - closed).norm() <= err
