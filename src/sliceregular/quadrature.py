@@ -2,27 +2,35 @@
 
 The integrand is a real or complex vector (the four components of a
 quaternion integrand, or the four complex component transforms of a Laplace
-transform, are integrated together) and is evaluated once per panel: it
-maps the (21,) array of the panel's Kronrod nodes to the (21, k) array of
-its values there.  The panel rule is QUADPACK's qk21 (Piessens et al.,
-QUADPACK, 1983): each panel's error estimate is the componentwise modulus of
-the deviation between the 21-point Kronrod value and the embedded 10-point
-Gauss value, weighed in one product with the difference of the two weight
-rows.  Breakpoints force panel boundaries so that jump
-discontinuities never sit inside a panel, and the panel with the largest
-summed component error is bisected until the total over all panels and
-components meets the tolerance or the panel budget is exhausted; the result
-carries each component's own summed error, so the component errors add up
-to at most the tolerance.  A panel with a non-finite value raises
-AccuracyError with an infinite bound.  Splitting decisions depend only on
-the integrand and the interval, so repeated calls are deterministic.
+transform, are integrated together) and is evaluated on several panels per
+call: it maps the (21 p,) array of the Kronrod nodes of p panels, panel
+after panel, to the (21 p, k) array of its values there, and a node's value
+may not depend on the other nodes of the call.  The panel rule is
+QUADPACK's qk21 (Piessens et al., QUADPACK, 1983): each panel's error
+estimate is the componentwise modulus of the deviation between the 21-point
+Kronrod value and the embedded 10-point Gauss value, weighed in one product
+with the difference of the two weight rows.  Breakpoints force panel
+boundaries so that jump discontinuities never sit inside a panel, and the
+panel with the largest summed component error is bisected until the total
+over all panels and components meets the tolerance or the panel budget is
+exhausted; the result carries each component's own summed error, so the
+component errors add up to at most the tolerance.  One call evaluates the
+halves of the popped panel and of every panel the loop is then certain to
+bisect as well (those that, with the panels ranked below them, still hold
+more than the tolerance), so the panels bisected and the sums are those of
+bisecting one panel per call; only a run that ends in AccuracyError may
+have evaluated halves it never used.  Running out of budget, or of panels
+wide enough to bisect, raises AccuracyError carrying the achieved bound; a
+panel with a non-finite value raises it with an infinite one.  Splitting
+decisions depend only on the integrand and the interval, so repeated calls
+are deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -76,19 +84,31 @@ _WEIGHTS = np.stack([_WGK, _WGK])
 _WEIGHTS[1, 1::2] -= _WG
 
 
-#: an integrand: the (21,) nodes of one panel -> the (21, k) values there
+#: an integrand: the (21 p,) Kronrod nodes of p panels, panel after panel,
+#: -> the (21 p, k) values there; a node's value may not depend on the others
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
-def _panel(fn: Integrand, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod value and componentwise |Kronrod - Gauss| of one panel."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    values = np.asarray(fn(mid + half * _XGK))
-    kronrod, deviation = half * (_WEIGHTS @ values)
-    if not np.isfinite(kronrod).all():
-        raise AccuracyError(f"integrand is not finite on [{a:g}, {b:g}]", achieved=math.inf)
-    return kronrod, np.abs(deviation)
+def _panels(fn: Integrand, lo: Sequence[float],
+            hi: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and componentwise |Kronrod - Gauss| of the panels [lo, hi].
+
+    One integrand call evaluates every panel, and one stacked product
+    reduces each panel exactly as a product on that panel alone would, so a
+    panel's sums do not depend on the panels evaluated with it.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    values = np.asarray(fn((mid[:, None] + half[:, None] * _XGK).ravel()))
+    sums = half[:, None, None] * (_WEIGHTS @ values.reshape(lo.size, _XGK.size, -1))
+    kronrod = sums[:, 0]
+    bad = ~np.isfinite(kronrod).all(axis=1)
+    if bad.any():
+        p = int(bad.argmax())
+        raise AccuracyError(f"integrand is not finite on [{lo[p]:g}, {hi[p]:g}]",
+                            achieved=math.inf)
+    return kronrod, np.abs(sums[:, 1])
 
 
 # overflow shows as a non-finite panel, which raises
@@ -100,33 +120,34 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *,
 
     Returns (value, componentwise summed error estimate), whose components
     sum to at most abs_tol; raises AccuracyError carrying the achieved
-    bound when the panel budget runs out first, and an infinite one when a
-    panel's value is not finite.
+    bound when the panel budget runs out first or every panel left is too
+    narrow to bisect, and an infinite one when a panel's value is not
+    finite.
     """
     if b <= a:
         probe = np.asarray(fn(np.array([a])))[0]
         return np.zeros_like(probe), np.zeros(probe.shape)
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    counter = 0
     heap: list[tuple[float, float, int, float, np.ndarray, np.ndarray]] = []
     total_err = 0.0
     total_val: np.ndarray | None = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, errs = _panel(fn, lo, hi)
+    vals, errss = _panels(fn, edges[:-1], edges[1:])
+    for counter, (lo, hi, val, errs) in enumerate(zip(edges[:-1], edges[1:], vals, errss)):
         err = float(errs.sum())
         total_val = val if total_val is None else total_val + val
         total_err += err
         heapq.heappush(heap, (-err, lo, counter, hi, val, errs))
-        counter += 1
-    n_panels = len(edges) - 1
+    counter = n_panels = len(edges) - 1
     min_width = 1e-12 * (b - a + 1.0)
     frozen_err = 0.0
     frozen = []
+    # heap counter of a panel -> the (2, k) values and errors of its halves
+    halves: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     while total_err + frozen_err > abs_tol and heap:
         if n_panels >= max_panels:
             raise AccuracyError("quadrature subdivision budget exhausted",
                                 achieved=total_err + frozen_err)
-        neg_err, lo, _, hi, val, errs = heapq.heappop(heap)
+        neg_err, lo, key, hi, val, errs = heapq.heappop(heap)
         err = -neg_err
         if hi - lo < min_width:
             # cannot refine further; count its error as irreducible
@@ -135,8 +156,26 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *,
             frozen.append(errs)
             continue
         mid = 0.5 * (lo + hi)
-        lval, lerrs = _panel(fn, lo, mid)
-        rval, rerrs = _panel(fn, mid, hi)
+        if key not in halves:
+            # Bisect ahead, in the same call, every panel the loop is certain
+            # to bisect too: it cannot stop before popping a panel while
+            # that panel and those ranked below it, with the frozen ones,
+            # hold more than abs_tol.
+            keys, los, his = [key], [lo, mid], [mid, hi]
+            excess = total_err + frozen_err - abs_tol - err
+            for q_neg, q_lo, q_key, q_hi, *_ in sorted(heap):
+                if excess <= 0.0 or len(keys) >= max_panels - n_panels:
+                    break
+                excess += q_neg
+                if q_key not in halves and q_hi - q_lo >= min_width:
+                    q_mid = 0.5 * (q_lo + q_hi)
+                    keys.append(q_key)
+                    los += (q_lo, q_mid)
+                    his += (q_mid, q_hi)
+            vals, errss = _panels(fn, los, his)
+            halves.update(zip(keys, zip(vals.reshape(len(keys), 2, -1),
+                                        errss.reshape(len(keys), 2, -1))))
+        (lval, rval), (lerrs, rerrs) = halves.pop(key)
         lerr, rerr = float(lerrs.sum()), float(rerrs.sum())
         total_val = total_val - val + lval + rval
         total_err = total_err - err + lerr + rerr
@@ -145,4 +184,7 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *,
         heapq.heappush(heap, (-rerr, mid, counter, hi, rval, rerrs))
         counter += 1
         n_panels += 1
+    if total_err + frozen_err > abs_tol:
+        raise AccuracyError("quadrature panels too narrow to bisect further",
+                            achieved=total_err + frozen_err)
     return total_val, sum(frozen + [entry[-1] for entry in heap])

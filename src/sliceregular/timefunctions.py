@@ -2,13 +2,14 @@
 
 A function is evaluated through one array map, its `evaluator`: an (n,)
 array of times goes in and the (n, 4) array of the values' real components
-comes out, so a quadrature panel evaluates all its nodes in one call.  The
-JSON vocabulary (exp / poly / heaviside_shift / sum / scale) and the
-combinators build that map directly in numpy; a bare scalar callable
+comes out, so a quadrature evaluates the nodes of a batch of panels in one
+call.  The JSON vocabulary (exp / poly / heaviside_shift / sum / scale) and
+the combinators build that map directly in numpy; a bare scalar callable
 t -> Quaternion is wrapped into it once, and `f(t)` reads one row of it.
 
 Transform inputs carry a growth certificate |f(t)| <= K e^{a t} for t > T
-(a >= 0), an optional list of jump locations and an optional value at 0+.
+(finite a >= 0, K > 0 and T >= 0), an optional list of jump locations and
+an optional value at 0+.
 The factories derive growth certificates instead of estimating them; the
 least-squares estimator is there for bare callables without a declared order.
 """
@@ -41,17 +42,20 @@ ArrayEvaluator = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True, slots=True)
 class GrowthBound:
-    """Certificate |f(t)| <= K e^{a t} for all t > T, with a >= 0."""
+    """Certificate |f(t)| <= K e^{a t} for all t > T, with finite a >= 0, K > 0, T >= 0."""
 
     a: float
     K: float
     T: float = 0.0
 
     def __post_init__(self):
-        if self.a < 0:
-            raise UsageError("exponential order must be non-negative")
-        if self.K <= 0:
-            raise UsageError("growth constant K must be positive")
+        # written so that NaN fails each test
+        if not 0.0 <= self.a < math.inf:
+            raise UsageError(f"exponential order must be non-negative and finite, got {self.a!r}")
+        if not 0.0 < self.K < math.inf:
+            raise UsageError(f"growth constant K must be positive and finite, got {self.K!r}")
+        if not 0.0 <= self.T < math.inf:
+            raise UsageError(f"growth window T must be non-negative and finite, got {self.T!r}")
 
 
 _RICHARDSON_H = 1e-3

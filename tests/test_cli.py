@@ -105,6 +105,12 @@ class TestTransform:
         {"kind": "exp", "b": [0, 1, 0, 0], "breakpoints": [float("nan")]},
         {"kind": "heaviside_shift", "shift": "nan", "inner": {"kind": "exp", "b": [0, 1, 0, 0]}},
         {"kind": "heaviside_shift", "shift": "inf", "inner": {"kind": "exp", "b": [0, 1, 0, 0]}},
+        {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": "nan", "K": 1}},
+        {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": "inf", "K": 1}},
+        {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": 0, "K": "inf"}},
+        {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": 0, "K": "nan"}},
+        {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": 0, "K": 1, "T": "nan"}},
+        {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": 0, "K": 1, "T": "inf"}},
     ])
     def test_malformed_time_metadata_exit_2(self, runner, spec):
         result = runner.invoke(cli, ["transform", "--input", json.dumps(spec),

@@ -1,7 +1,11 @@
+import heapq
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceregular import quadrature
 from sliceregular.errors import AccuracyError
@@ -68,21 +72,153 @@ def test_deterministic():
     assert a[0][0] == b[0][0] and a[1] == b[1]
 
 
-def test_integrand_called_once_per_panel_with_its_nodes():
-    panels = []
+def _split_into_panels(t):
+    """The (lo, hi) of each whole panel whose Kronrod nodes make up t."""
+    xgk = quadrature._XGK
+    assert t.ndim == 1 and t.size % xgk.size == 0
+    out = []
+    for nodes in t.reshape(-1, xgk.size):
+        mid, half = nodes[xgk.size // 2], (nodes[-1] - nodes[0]) / (2 * xgk[-1])
+        assert np.allclose(nodes, mid + half * xgk, rtol=0, atol=1e-14)
+        out.append((round(mid - half, 12), round(mid + half, 12)))
+    return out
+
+
+def test_integrand_called_once_per_batch_of_panels():
+    calls, panels = [], []
 
     def wiggle(t):
-        assert t.shape == (quadrature._XGK.size,)
-        mid, half = t[t.size // 2], (t[-1] - t[0]) / (2 * quadrature._XGK[-1])
-        assert np.allclose(t, mid + half * quadrature._XGK, rtol=0, atol=1e-14)
-        panels.append((round(mid - half, 12), round(mid + half, 12)))
+        calls.append(_split_into_panels(t))
+        panels.extend(calls[-1])
         return (np.sin(7 * t) / (1 + t))[:, None]
 
     integrate_adaptive(wiggle, 0.0, 10.0, abs_tol=1e-11, breakpoints=[3.0])
+    assert calls[0] == [(0.0, 3.0), (3.0, 10.0)]  # the initial panels, in one call
     assert len(set(panels)) == len(panels)  # no panel is evaluated twice
     # two initial panels, then two children for each bisected panel
     bisected = [(lo, hi) for lo, hi in panels if (lo, round(0.5 * (lo + hi), 12)) in panels]
     assert len(panels) == 2 + 2 * len(bisected) and len(bisected) > 0
+    # the bisections the loop is certain to make share calls
+    assert len(calls) < len(bisected)
+
+
+def test_panels_too_narrow_to_bisect_raise_with_the_bound():
+    # the one panel is narrower than the bisection floor but far from converged
+    with pytest.raises(AccuracyError) as info:
+        integrate_adaptive(lambda t: (1e30 * np.sin(1e14 * t))[:, None],
+                           0.0, 5e-13, abs_tol=1e-10)
+    assert info.value.achieved > 1e-10
+
+
+def _one_bisection_per_call(fn, a, b, *, abs_tol, max_panels=400, breakpoints=()):
+    """The heap loop bisecting one panel per integrand call: the reference."""
+    xgk, weights = quadrature._XGK, quadrature._WEIGHTS
+
+    def panel(lo, hi):
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        kronrod, deviation = half * (weights @ fn(mid + half * xgk))
+        return kronrod, np.abs(deviation), float(np.abs(deviation).sum())
+
+    edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    heap, total_val, total_err, frozen, frozen_err = [], None, 0.0, [], 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, errs, err = panel(lo, hi)
+        total_val = val if total_val is None else total_val + val
+        total_err += err
+        heapq.heappush(heap, (-err, lo, len(heap), hi, val, errs))
+    counter, n_panels, min_width = len(heap), len(heap), 1e-12 * (b - a + 1.0)
+    while total_err + frozen_err > abs_tol and heap:
+        if n_panels >= max_panels:
+            raise AccuracyError("budget", achieved=total_err + frozen_err)
+        neg_err, lo, _, hi, val, errs = heapq.heappop(heap)
+        if hi - lo < min_width:
+            frozen_err, total_err = frozen_err - neg_err, total_err + neg_err
+            frozen.append(errs)
+            continue
+        mid = 0.5 * (lo + hi)
+        (lval, lerrs, lerr), (rval, rerrs, rerr) = panel(lo, mid), panel(mid, hi)
+        total_val = total_val - val + lval + rval
+        total_err = total_err + neg_err + lerr + rerr
+        heapq.heappush(heap, (-lerr, lo, counter, mid, lval, lerrs))
+        heapq.heappush(heap, (-rerr, mid, counter + 1, hi, rval, rerrs))
+        counter, n_panels = counter + 2, n_panels + 1
+    return total_val, sum(frozen + [entry[-1] for entry in heap])
+
+
+def _run_recording(engine, fn, *args, **kwargs):
+    """(outcome, sorted bytes of every evaluated panel's nodes) of one run."""
+    panels = []
+
+    def recorded(t):
+        panels.extend(nodes.tobytes() for nodes in t.reshape(-1, quadrature._XGK.size))
+        return np.asarray(fn(t))
+
+    try:
+        value, err = engine(recorded, *args, **kwargs)
+        outcome = (value.view(np.uint64).tolist(), np.asarray(err).view(np.uint64).tolist())
+    except AccuracyError as exc:
+        outcome = ("raised", np.float64(exc.achieved).view(np.uint64))
+    return outcome, sorted(panels)
+
+
+def _edge_integrand(monkeypatch):
+    """The integrand, interval and options of laplace_left(e^{jt}) at s = 0.2 + 30i."""
+    seen = []
+
+    def capture(fn, a, b, **kwargs):
+        seen.append((fn, a, b, kwargs))
+        return integrate_adaptive(fn, a, b, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "integrate_adaptive", capture)
+        laplace_left(exponential_function(J)).evaluate_with_error(slice_embed(0.2, 30.0, I))
+    (fn, a, b, kwargs), = seen
+    return (fn, a, b), kwargs
+
+
+PINNED = {
+    "wiggle": ((lambda t: (np.sin(7 * t) / (1 + t))[:, None], 0.0, 10.0),
+               dict(abs_tol=1e-11, breakpoints=[3.0])),
+    "damped cosine": ((lambda t: (np.exp(-t) * np.cos(10 * t))[:, None], 0.0, 20.0),
+                      dict(abs_tol=1e-12)),
+    "step": ((lambda t: np.where(t >= 1.0, 1.0, 0.0)[:, None], 0.0, 2.0),
+             dict(abs_tol=1e-12, breakpoints=[1.0])),
+    "cusp on a budget": ((lambda t: np.sqrt(np.abs(t - 0.37))[:, None], 0.0, 1.0),
+                         dict(abs_tol=1e-15, max_panels=8)),
+}
+
+
+@pytest.mark.parametrize("case", [*PINNED, "near-edge transform"])
+def test_engine_matches_one_bisection_per_call_bit_for_bit(case, monkeypatch):
+    args, kwargs = PINNED[case] if case in PINNED else _edge_integrand(monkeypatch)
+    got = _run_recording(integrate_adaptive, *args, **kwargs)
+    want = _run_recording(_one_bisection_per_call, *args, **kwargs)
+    assert got[0] == want[0]  # value and error, or the raised bound
+    if case == "cusp on a budget":
+        # bisections taken ahead may fall past a budget that then runs out
+        assert got[0][0] == "raised" and not Counter(want[1]) - Counter(got[1])
+    else:
+        assert got[1] == want[1]  # the multiset of evaluated panels
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(1e-9, 40.0)), min_size=1, max_size=9),
+       st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=6),
+       st.booleans())
+def test_batched_panels_equal_single_panel_calls(panels, rates, real):
+    rates = np.array(rates)
+
+    def fn(t):
+        values = np.exp(np.multiply.outer(np.cos(t), rates)) + np.multiply.outer(t, rates)
+        return values.real if real else values
+
+    lo = [start for start, _ in panels]
+    hi = [start + width for start, width in panels]
+    vals, errs = quadrature._panels(fn, lo, hi)
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        val, err = quadrature._panels(fn, [a], [b])
+        assert vals[i].view(np.uint64).tolist() == val[0].view(np.uint64).tolist()
+        assert errs[i].view(np.uint64).tolist() == err[0].view(np.uint64).tolist()
 
 
 def test_non_finite_integrand_raises_with_an_infinite_bound():
