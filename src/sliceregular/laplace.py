@@ -6,8 +6,8 @@ complex transforms evaluated on the slice of s, assembled back through the
 tensor form: that is exactly how the engine evaluates.  The four share the
 kernel e^{-tz}, so the transform is one vector stem, and at each point one
 adaptive panel quadrature of a complex 4-vector computes its four
-components together, evaluating the kernel and f once per batch of panels
-on the array of their 21 nodes each.  It truncates the half-line at a point T* where the
+components together, evaluating the kernel and f once per bisection, on
+both halves' 42 nodes.  It truncates the half-line at a point T* where the
 analytic tail bound K e^{(a - Re s) T*} terms falls below half the
 tolerance abs_tol (with a safety factor of 10), and spends the other half
 on the panels of [0, T*]; when no T* within reach meets the target it
@@ -354,7 +354,8 @@ def convolution(f: TimeDomainFunction, g: TimeDomainFunction,
     kinks = sorted({*f.breakpoints, *g.breakpoints,
                     *(bf + bg for bf in f.breakpoints for bg in g.breakpoints)})
     return TimeDomainFunction.from_array(
-        evaluate, GrowthBound(c + CONV_RATE_MARGIN, max(K, 1e-300)),
+        evaluate,
+        GrowthBound.derived(c + CONV_RATE_MARGIN, max(K, 1e-300), 0.0, "a convolution"),
         kinks, Quaternion(),
     )
 

@@ -14,16 +14,14 @@ boundaries so that jump discontinuities never sit inside a panel, and the
 panel with the largest summed component error is bisected until the total
 over all panels and components meets the tolerance or the panel budget is
 exhausted; the result carries each component's own summed error, so the
-component errors add up to at most the tolerance.  One call evaluates the
-halves of the popped panel and of every panel the loop is then certain to
-bisect as well (those that, with the panels ranked below them, still hold
-more than the tolerance), so the panels bisected and the sums are those of
-bisecting one panel per call; only a run that ends in AccuracyError may
-have evaluated halves it never used.  Running out of budget, or of panels
-wide enough to bisect, raises AccuracyError carrying the achieved bound; a
-panel with a non-finite value raises it with an infinite one.  Splitting
-decisions depend only on the integrand and the interval, so repeated calls
-are deterministic.
+component errors add up to at most the tolerance.  The initial panels
+share one call, and each bisection evaluates both halves in one call; a
+panel's sums do not depend on the panels evaluated with it, so every value,
+error and raised bound is that of evaluating one panel per call.  Running
+out of budget, or of panels wide enough to bisect, raises AccuracyError
+carrying the achieved bound; a panel with a non-finite value raises it
+with an infinite one.  Splitting decisions depend only on the integrand and
+the interval, so repeated calls are deterministic.
 """
 
 from __future__ import annotations
@@ -141,13 +139,11 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *,
     min_width = 1e-12 * (b - a + 1.0)
     frozen_err = 0.0
     frozen = []
-    # heap counter of a panel -> the (2, k) values and errors of its halves
-    halves: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     while total_err + frozen_err > abs_tol and heap:
         if n_panels >= max_panels:
             raise AccuracyError("quadrature subdivision budget exhausted",
                                 achieved=total_err + frozen_err)
-        neg_err, lo, key, hi, val, errs = heapq.heappop(heap)
+        neg_err, lo, _, hi, val, errs = heapq.heappop(heap)
         err = -neg_err
         if hi - lo < min_width:
             # cannot refine further; count its error as irreducible
@@ -156,26 +152,7 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *,
             frozen.append(errs)
             continue
         mid = 0.5 * (lo + hi)
-        if key not in halves:
-            # Bisect ahead, in the same call, every panel the loop is certain
-            # to bisect too: it cannot stop before popping a panel while
-            # that panel and those ranked below it, with the frozen ones,
-            # hold more than abs_tol.
-            keys, los, his = [key], [lo, mid], [mid, hi]
-            excess = total_err + frozen_err - abs_tol - err
-            for q_neg, q_lo, q_key, q_hi, *_ in sorted(heap):
-                if excess <= 0.0 or len(keys) >= max_panels - n_panels:
-                    break
-                excess += q_neg
-                if q_key not in halves and q_hi - q_lo >= min_width:
-                    q_mid = 0.5 * (q_lo + q_hi)
-                    keys.append(q_key)
-                    los += (q_lo, q_mid)
-                    his += (q_mid, q_hi)
-            vals, errss = _panels(fn, los, his)
-            halves.update(zip(keys, zip(vals.reshape(len(keys), 2, -1),
-                                        errss.reshape(len(keys), 2, -1))))
-        (lval, rval), (lerrs, rerrs) = halves.pop(key)
+        (lval, rval), (lerrs, rerrs) = _panels(fn, (lo, mid), (mid, hi))
         lerr, rerr = float(lerrs.sum()), float(rerrs.sum())
         total_val = total_val - val + lval + rval
         total_err = total_err - err + lerr + rerr

@@ -2,10 +2,11 @@
 
 A function is evaluated through one array map, its `evaluator`: an (n,)
 array of times goes in and the (n, 4) array of the values' real components
-comes out, so a quadrature evaluates the nodes of a batch of panels in one
-call.  The JSON vocabulary (exp / poly / heaviside_shift / sum / scale) and
-the combinators build that map directly in numpy; a bare scalar callable
-t -> Quaternion is wrapped into it once, and `f(t)` reads one row of it.
+comes out, so a quadrature evaluates the nodes of both halves of a
+bisected panel in one call.  The JSON vocabulary (exp / poly /
+heaviside_shift / sum / scale) and the combinators build that map directly
+in numpy; a bare scalar callable t -> Quaternion is wrapped into it once,
+and `f(t)` reads one row of it.
 
 Transform inputs carry a growth certificate |f(t)| <= K e^{a t} for t > T
 (finite a >= 0, K > 0 and T >= 0), an optional list of jump locations and
@@ -22,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EstimationError, UsageError
+from .errors import AccuracyError, EstimationError, UsageError
 from .quaternion import CONJUGATE_SIGNS, ONE, Quaternion, quat_from_list, quat_mul_rows
 
 __all__ = [
@@ -56,6 +57,18 @@ class GrowthBound:
             raise UsageError(f"growth constant K must be positive and finite, got {self.K!r}")
         if not 0.0 <= self.T < math.inf:
             raise UsageError(f"growth window T must be non-negative and finite, got {self.T!r}")
+
+    @classmethod
+    def derived(cls, a: float, K: float, T: float, operation: str) -> "GrowthBound":
+        """The certificate `operation` derives from its operands' certificates.
+
+        Products and sums of large finite constants can overflow; that is no
+        malformed input, so it raises AccuracyError naming the operation.
+        """
+        if not all(map(math.isfinite, (a, K, T))):
+            raise AccuracyError(f"the growth certificate of {operation} overflows "
+                                f"(a = {a!r}, K = {K!r}, T = {T!r})", achieved=math.inf)
+        return cls(a, K, T)
 
 
 _RICHARDSON_H = 1e-3
@@ -139,7 +152,7 @@ class TimeDomainFunction:
         row = np.array(factor.components())
         return TimeDomainFunction.from_array(
             lambda ts: quat_mul_rows(row, f(ts)),
-            GrowthBound(g.a, max(g.K * factor.norm(), 1e-300), g.T),
+            GrowthBound.derived(g.a, max(g.K * factor.norm(), 1e-300), g.T, "a left scaling"),
             self.breakpoints,
             factor * f0 if f0 is not None else None,
         )
@@ -149,7 +162,7 @@ class TimeDomainFunction:
         row = np.array(factor.components())
         return TimeDomainFunction.from_array(
             lambda ts: quat_mul_rows(f(ts), row),
-            GrowthBound(g.a, max(g.K * factor.norm(), 1e-300), g.T),
+            GrowthBound.derived(g.a, max(g.K * factor.norm(), 1e-300), g.T, "a right scaling"),
             self.breakpoints,
             f0 * factor if f0 is not None else None,
         )
@@ -162,7 +175,7 @@ class TimeDomainFunction:
             f0 = self.value_at_zero_plus + other.value_at_zero_plus
         return TimeDomainFunction.from_array(
             lambda ts: f(ts) + g(ts),
-            GrowthBound(max(ga.a, gb.a), ga.K + gb.K, max(ga.T, gb.T)),
+            GrowthBound.derived(max(ga.a, gb.a), ga.K + gb.K, max(ga.T, gb.T), "a sum"),
             sorted({*self.breakpoints, *other.breakpoints}),
             f0,
         )
@@ -226,7 +239,7 @@ def polynomial_function(coeffs: Sequence[Quaternion]) -> TimeDomainFunction:
         return acc
 
     return TimeDomainFunction.from_array(
-        evaluate, GrowthBound(POLY_RATE, max(K, 1e-300)), (), cs[0])
+        evaluate, GrowthBound.derived(POLY_RATE, max(K, 1e-300), 0.0, "a polynomial"), (), cs[0])
 
 
 def heaviside_shifted(inner: TimeDomainFunction, shift: float) -> TimeDomainFunction:
@@ -251,7 +264,7 @@ def heaviside_shifted(inner: TimeDomainFunction, shift: float) -> TimeDomainFunc
     T = g.T + shift if g.T > 0.0 else 0.0
     breaks = [shift] + [b + shift for b in inner.breakpoints]
     return TimeDomainFunction.from_array(
-        evaluate, GrowthBound(g.a, g.K, T), breaks, Quaternion()
+        evaluate, GrowthBound.derived(g.a, g.K, T, "a Heaviside shift"), breaks, Quaternion()
     )
 
 

@@ -117,6 +117,16 @@ class TestTransform:
                                      "--probes", PROBES_3])
         assert result.exit_code == 2, result.output
 
+    def test_overflowing_derived_certificate_exit_1(self, runner):
+        # a certificate the library derives is no malformed input: exit 1, naming the operation
+        spec = {"kind": "scale", "factor": [1e200, 0, 0, 0],
+                "inner": {"kind": "scale", "factor": [1e200, 0, 0, 0],
+                          "inner": {"kind": "poly", "coeffs": [[1, 0, 0, 0]]}}}
+        result = runner.invoke(cli, ["transform", "--input", json.dumps(spec),
+                                     "--probes", PROBES_3])
+        assert result.exit_code == 1, result.output
+        assert "growth certificate of a left scaling overflows" in result.output
+
     def test_unknown_kind_exit_2(self, runner):
         result = runner.invoke(cli, ["transform", "--input",
                                      json.dumps({"kind": "wavelet"}),

@@ -1,6 +1,5 @@
 import heapq
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -98,8 +97,9 @@ def test_integrand_called_once_per_batch_of_panels():
     # two initial panels, then two children for each bisected panel
     bisected = [(lo, hi) for lo, hi in panels if (lo, round(0.5 * (lo + hi), 12)) in panels]
     assert len(panels) == 2 + 2 * len(bisected) and len(bisected) > 0
-    # the bisections the loop is certain to make share calls
-    assert len(calls) < len(bisected)
+    # one call per bisection, holding both halves of the bisected panel
+    assert len(calls) == 1 + len(bisected)
+    assert all(len(call) == 2 and call[0][1] == call[1][0] for call in calls[1:])
 
 
 def test_panels_too_narrow_to_bisect_raise_with_the_bound():
@@ -110,8 +110,8 @@ def test_panels_too_narrow_to_bisect_raise_with_the_bound():
     assert info.value.achieved > 1e-10
 
 
-def _one_bisection_per_call(fn, a, b, *, abs_tol, max_panels=400, breakpoints=()):
-    """The heap loop bisecting one panel per integrand call: the reference."""
+def _one_panel_per_call(fn, a, b, *, abs_tol, max_panels=400, breakpoints=()):
+    """The heap loop evaluating one panel per integrand call: the reference."""
     xgk, weights = quadrature._XGK, quadrature._WEIGHTS
 
     def panel(lo, hi):
@@ -189,16 +189,12 @@ PINNED = {
 
 
 @pytest.mark.parametrize("case", [*PINNED, "near-edge transform"])
-def test_engine_matches_one_bisection_per_call_bit_for_bit(case, monkeypatch):
+def test_engine_matches_one_panel_per_call_bit_for_bit(case, monkeypatch):
     args, kwargs = PINNED[case] if case in PINNED else _edge_integrand(monkeypatch)
     got = _run_recording(integrate_adaptive, *args, **kwargs)
-    want = _run_recording(_one_bisection_per_call, *args, **kwargs)
+    want = _run_recording(_one_panel_per_call, *args, **kwargs)
     assert got[0] == want[0]  # value and error, or the raised bound
-    if case == "cusp on a budget":
-        # bisections taken ahead may fall past a budget that then runs out
-        assert got[0][0] == "raised" and not Counter(want[1]) - Counter(got[1])
-    else:
-        assert got[1] == want[1]  # the multiset of evaluated panels
+    assert got[1] == want[1]  # the multiset of evaluated panels
 
 
 @settings(max_examples=60, deadline=None)

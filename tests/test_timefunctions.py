@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceregular.errors import EstimationError, UsageError
+from sliceregular.errors import AccuracyError, EstimationError, UsageError
+from sliceregular.laplace import convolution
 from sliceregular.quaternion import I, J, K, ONE, Quaternion, quat_exp
 from sliceregular.timefunctions import (
     TimeDomainFunction,
@@ -87,6 +88,26 @@ class TestFactories:
             for _ in range(50):
                 t = float(rng.uniform(g.T, g.T + 20))
                 assert f(t).norm() <= g.K * math.exp(g.a * t) * (1 + 1e-9)
+
+
+class TestDerivedCertificates:
+    """A combinator whose certificate overflows names itself, not a malformed input."""
+
+    @pytest.mark.parametrize("build, operation", [
+        (lambda: convolution(constant_function(1e200), constant_function(1e200)),
+         "a convolution"),
+        (lambda: constant_function(1e200).scaled_left(Quaternion.real(1e200)), "a left scaling"),
+        (lambda: constant_function(1e200).scaled_right(Quaternion.real(1e200)), "a right scaling"),
+        (lambda: constant_function(1e308) + constant_function(1e308), "a sum"),
+        (lambda: polynomial_function([0.0] * 100 + [1e300]), "a polynomial"),
+    ])
+    def test_overflow_raises_accuracy_error_naming_the_operation(self, build, operation):
+        with pytest.raises(AccuracyError, match=f"growth certificate of {operation} overflows"):
+            build()
+
+    def test_large_finite_certificates_pass(self):
+        f = constant_function(1e150).scaled_left(Quaternion.real(1e150))
+        assert f.growth.K == pytest.approx(1e300)
 
 
 class TestJsonIngestion:
