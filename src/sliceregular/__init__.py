@@ -20,7 +20,6 @@ from .errors import (
     CapabilityError,
     ConsistencyError,
     DomainError,
-    EstimationError,
     PoleError,
     SingularSeriesError,
     SliceRegularError,
@@ -58,7 +57,6 @@ from .timefunctions import (
     GrowthBound,
     TimeDomainFunction,
     constant_function,
-    estimate_exp_order,
     exponential_function,
     heaviside_shifted,
     polynomial_function,

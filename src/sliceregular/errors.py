@@ -37,9 +37,5 @@ class StemSymmetryError(SliceRegularError):
     """A complex stem violates the intrinsic reflection symmetry f(z*) = f(z)*."""
 
 
-class EstimationError(SliceRegularError):
-    """Exponential-order estimation failed; growth looks faster than exponential."""
-
-
 class ConsistencyError(SliceRegularError):
     """An internal algebraic identity failed beyond numerical tolerance."""

@@ -51,7 +51,7 @@ from .stems import (
     stem_stack,
     stem_sum,
 )
-from .timefunctions import GrowthBound, TimeDomainFunction, estimate_exp_order
+from .timefunctions import GrowthBound, TimeDomainFunction
 
 __all__ = [
     "DEFAULT_ABS_TOL",
@@ -71,7 +71,6 @@ __all__ = [
     "laplace_of_convolution",
     "DualityReport",
     "reflection_duality_check",
-    "estimate_exp_order",
 ]
 
 
@@ -228,8 +227,10 @@ def exp_transform_closed_form(b: Quaternion, side: Side) -> TransformResult:
 
 
 def shift_real(F: TransformResult, a_shift: float) -> TransformResult:
-    """Transform of e^{-a t} f(t) for real a: precompose with s -> s + a."""
+    """Transform of e^{-a t} f(t) for real, finite a: precompose with s -> s + a."""
     a_shift = float(a_shift)
+    if not math.isfinite(a_shift):
+        raise UsageError(f"real shift must be finite, got {a_shift!r}")
     if a_shift == 0.0:
         return F
     dom = half_plane(F.domain.bounds[0] - a_shift)
@@ -237,12 +238,12 @@ def shift_real(F: TransformResult, a_shift: float) -> TransformResult:
 
 
 def heaviside_shift(F: TransformResult, a_shift: float) -> TransformResult:
-    """Transform of f(t-a) H(t-a) for a > 0: multiply by e^{-as} on the left.
+    """Transform of f(t-a) H(t-a) for finite a > 0: multiply by e^{-as} on the left.
 
     The factor is intrinsic, so it commutes into every tensor component.
     """
-    if a_shift <= 0:
-        raise UsageError("heaviside shift must be positive")
+    if not 0 < a_shift < math.inf:
+        raise UsageError(f"heaviside shift must be positive and finite, got {a_shift!r}")
     return F._wrap(stem_product(exp_decay_stem(a_shift, F.domain), F.fn.stem))
 
 

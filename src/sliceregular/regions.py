@@ -143,24 +143,6 @@ class Region:
                 points.append(SliceCoordinates(x, y, random_unit_imaginary(rng)))
         return points
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "parameters": list(self.bounds)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Region":
-        try:
-            kind = data["kind"]
-            params = [float(p) for p in data["parameters"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"malformed region spec: {exc}") from exc
-        if kind == HALF_PLANE:
-            return half_plane(*params)
-        if kind == DISK:
-            return disk(*params)
-        if kind == ANNULUS:
-            return annulus(*params)
-        raise UsageError(f"unknown region kind {kind!r}")
-
 
 def half_plane(a: float) -> Region:
     return Region(HALF_PLANE, (float(a),))

@@ -20,7 +20,6 @@ boundary: `coeffs` builds them on first access and keeps them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -309,13 +308,6 @@ class RegularSeries:
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed series spec: {exc}") from exc
         return cls._from_rows(_as_rows(components), side)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RegularSeries":
-        return cls.from_json_dict(json.loads(text))
 
 
 def assemble_components(components: Sequence[RegularSeries]) -> RegularSeries:

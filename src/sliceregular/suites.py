@@ -466,7 +466,7 @@ def laplace_suite(seed: int = 0, tol: Optional[float] = None) -> list[PropertyCh
     for b in (I, Quaternion(1, 0, 1, 0)):
         f_b = exponential_function(b)
         F_b = laplace_left(f_b)
-        lhs = transform_of_derivative(F_b, f_b.initial_value())
+        lhs = transform_of_derivative(F_b, f_b.value_at_zero_plus)
         rhs = laplace_left(f_b.scaled_left(b))
         for s in _transform_probes(rng, 5, re_lo=b.w + 0.6):
             worst = max(worst, (lhs.evaluate(s) - rhs.evaluate(s)).norm())

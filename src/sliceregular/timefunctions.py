@@ -11,8 +11,7 @@ and `f(t)` reads one row of it.
 Transform inputs carry a growth certificate |f(t)| <= K e^{a t} for t > T
 (finite a >= 0, K > 0 and T >= 0), an optional list of jump locations and
 an optional value at 0+.
-The factories derive growth certificates instead of estimating them; the
-least-squares estimator is there for bare callables without a declared order.
+The factories derive growth certificates; a bare callable's is declared.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, EstimationError, UsageError
+from .errors import AccuracyError, UsageError
 from .quaternion import CONJUGATE_SIGNS, ONE, Quaternion, quat_from_list, quat_mul_rows
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "polynomial_function",
     "heaviside_shifted",
     "time_function_from_json",
-    "estimate_exp_order",
 ]
 
 #: (n,) times -> (n, 4) real components of the values
@@ -69,15 +67,6 @@ class GrowthBound:
             raise AccuracyError(f"the growth certificate of {operation} overflows "
                                 f"(a = {a!r}, K = {K!r}, T = {T!r})", achieved=math.inf)
         return cls(a, K, T)
-
-
-_RICHARDSON_H = 1e-3
-
-# window end of the growth estimate for a callable without a certificate
-_ESTIMATE_T_MAX = 10.0
-# samples of log|f| in the estimate's window, and the factor inflating its K
-_ESTIMATE_SAMPLES = 80
-_ESTIMATE_SAFETY = 10.0
 
 
 def _rows_of(scalar: Callable[[float], Quaternion]) -> ArrayEvaluator:
@@ -120,25 +109,6 @@ class TimeDomainFunction:
 
     def __call__(self, t: float) -> Quaternion:
         return Quaternion(*self.evaluator(np.array([float(t)]))[0].tolist())
-
-    @classmethod
-    def from_callable(cls, evaluator: Callable[[float], Quaternion],
-                      growth: Optional[GrowthBound] = None,
-                      breakpoints: Sequence[float] = (),
-                      value_at_zero_plus: Optional[Quaternion] = None) -> "TimeDomainFunction":
-        """Wrap a bare callable; the growth certificate is estimated on
-        [5, 10] if omitted."""
-        if growth is None:
-            growth = estimate_exp_order(evaluator, _ESTIMATE_T_MAX)
-        return cls(evaluator, growth, breakpoints, value_at_zero_plus)
-
-    def initial_value(self) -> Quaternion:
-        """f(0+): the supplied value, else Richardson extrapolation from t -> 0+."""
-        if self.value_at_zero_plus is not None:
-            return self.value_at_zero_plus
-        h = _RICHARDSON_H
-        f1, f2, f4 = self(h), self(h / 2), self(h / 4)
-        return (8 * f4 - 6 * f2 + f1) / 3
 
     def conjugated(self) -> "TimeDomainFunction":
         f, f0 = self.evaluator, self.value_at_zero_plus
@@ -223,10 +193,17 @@ def polynomial_function(coeffs: Sequence[Quaternion]) -> TimeDomainFunction:
     cs = [c if isinstance(c, Quaternion) else Quaternion.real(c) for c in coeffs]
     if not cs:
         cs = [Quaternion()]
-    # sup of t^n e^{-rate t} is (n / (rate e))^n, so K bounds every monomial
+    # sup of t^n e^{-rate t} is (n / (rate e))^n, so K bounds every monomial;
+    # a zero coefficient adds nothing, and a peak past the float range makes K
+    # infinite, which GrowthBound.derived reports
     K = 0.0
     for n, c in enumerate(cs):
-        peak = 1.0 if n == 0 else (n / (POLY_RATE * math.e)) ** n
+        if c.norm() == 0.0:
+            continue
+        try:
+            peak = 1.0 if n == 0 else (n / (POLY_RATE * math.e)) ** n
+        except OverflowError:
+            peak = math.inf
         K += c.norm() * peak
     rows = np.array([c.components() for c in cs])
 
@@ -327,37 +304,3 @@ def time_function_from_json(spec: dict) -> TimeDomainFunction:
     if "value_at_zero_plus" in spec:
         f0 = quat_from_list(spec["value_at_zero_plus"])
     return TimeDomainFunction.from_array(fn.evaluator, growth, breaks, f0)
-
-
-def estimate_exp_order(evaluator: Callable[[float], Quaternion], t_max: float) -> GrowthBound:
-    """Least-squares fit of the tail slope of log|f| on [t_max/2, t_max].
-
-    The fitted K is inflated by a safety factor of 10.  Growth that looks faster than
-    exponential over the window (significant upward curvature of log|f|)
-    raises EstimationError rather than returning a bogus certificate.
-    """
-    t0 = t_max / 2.0
-    ts, logs = [], []
-    for k in range(_ESTIMATE_SAMPLES):
-        t = t0 + (t_max - t0) * k / (_ESTIMATE_SAMPLES - 1)
-        v = evaluator(t)
-        n = v.norm() if isinstance(v, Quaternion) else abs(v)
-        if n > 0.0:
-            ts.append(t)
-            logs.append(math.log(n))
-    if len(ts) < 8:
-        return GrowthBound(0.0, _ESTIMATE_SAFETY * 1e-12, t0)
-    ts_arr = np.asarray(ts)
-    logs_arr = np.asarray(logs)
-    quad = np.polyfit(ts_arr, logs_arr, 2)
-    window = ts_arr[-1] - ts_arr[0]
-    if quad[0] * window * window > 0.5:
-        raise EstimationError(
-            f"log|f| curves upward by {quad[0] * window * window:.2f} over the window; "
-            "growth looks super-exponential"
-        )
-    slope, intercept = np.polyfit(ts_arr, logs_arr, 1)
-    a = max(float(slope), 0.0)
-    residual = float(np.max(logs_arr - (slope * ts_arr + intercept)))
-    K = math.exp(float(intercept) + residual) * _ESTIMATE_SAFETY
-    return GrowthBound(a, max(K, 1e-300), t0)

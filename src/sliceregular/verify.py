@@ -10,11 +10,10 @@ canonical witness being q -> conj(q)) produce O(1) residuals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .quaternion import Quaternion, SliceCoordinates, quat_from_list, slice_embed
+from .quaternion import Quaternion, SliceCoordinates, slice_embed
 from .series import Side
 from .slicefn import SliceRegularFunction
 
@@ -24,8 +23,6 @@ __all__ = [
     "is_slice_preserving",
     "slice_splitting",
     "complex_cr_residual",
-    "probes_to_json",
-    "probes_from_json",
 ]
 
 DEFAULT_STEP = 1e-5
@@ -38,17 +35,6 @@ class ResidualReport:
     max_residual: float
     residuals: list[float] = field(default_factory=list)
     probes: list[SliceCoordinates] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "side": self.side.value,
-            "step": self.step,
-            "max_residual": self.max_residual,
-            "residuals": list(self.residuals),
-            "probes": [
-                {"x": p.x, "y": p.y, "unit": p.unit.to_list()} for p in self.probes
-            ],
-        }
 
 
 def _as_evaluator(fn) -> Callable[[Quaternion], Quaternion]:
@@ -130,17 +116,3 @@ def complex_cr_residual(cf: Callable[[complex], complex], z: complex,
     dfdx = (cf(z + step) - cf(z - step)) / (2.0 * step)
     dfdy = (cf(z + 1j * step) - cf(z - 1j * step)) / (2.0 * step)
     return abs(0.5 * (dfdx + 1j * dfdy))
-
-
-def probes_to_json(probes: Sequence[SliceCoordinates]) -> str:
-    return json.dumps(
-        [{"x": p.x, "y": p.y, "unit": p.unit.to_list()} for p in probes]
-    )
-
-
-def probes_from_json(text: str) -> list[SliceCoordinates]:
-    data = json.loads(text)
-    return [
-        SliceCoordinates(float(d["x"]), float(d["y"]), quat_from_list(d["unit"]))
-        for d in data
-    ]

@@ -117,15 +117,18 @@ class TestTransform:
                                      "--probes", PROBES_3])
         assert result.exit_code == 2, result.output
 
-    def test_overflowing_derived_certificate_exit_1(self, runner):
+    @pytest.mark.parametrize("spec, operation", [
+        ({"kind": "scale", "factor": [1e200, 0, 0, 0],
+          "inner": {"kind": "scale", "factor": [1e200, 0, 0, 0],
+                    "inner": {"kind": "poly", "coeffs": [[1, 0, 0, 0]]}}}, "a left scaling"),
+        ({"kind": "poly", "coeffs": [[1, 0, 0, 0]] * 130}, "a polynomial"),
+    ], ids=["scale", "poly"])
+    def test_overflowing_derived_certificate_exit_1(self, runner, spec, operation):
         # a certificate the library derives is no malformed input: exit 1, naming the operation
-        spec = {"kind": "scale", "factor": [1e200, 0, 0, 0],
-                "inner": {"kind": "scale", "factor": [1e200, 0, 0, 0],
-                          "inner": {"kind": "poly", "coeffs": [[1, 0, 0, 0]]}}}
         result = runner.invoke(cli, ["transform", "--input", json.dumps(spec),
                                      "--probes", PROBES_3])
         assert result.exit_code == 1, result.output
-        assert "growth certificate of a left scaling overflows" in result.output
+        assert f"growth certificate of {operation} overflows" in result.output
 
     def test_unknown_kind_exit_2(self, runner):
         result = runner.invoke(cli, ["transform", "--input",

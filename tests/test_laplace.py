@@ -244,6 +244,18 @@ class TestShifts:
         with pytest.raises(UsageError):
             heaviside_shift(laplace_left(constant_function(ONE)), -1.0)
 
+    @pytest.mark.parametrize("rule, shift", [
+        (heaviside_shift, math.nan),
+        (heaviside_shift, math.inf),
+        (shift_real, math.nan),
+        (shift_real, math.inf),
+        (shift_real, -math.inf),
+    ])
+    def test_non_finite_shift_raises(self, rule, shift):
+        # a NaN shift used to give a NaN value and error, an infinite one 0 with error 0
+        with pytest.raises(UsageError, match="shift must be"):
+            rule(laplace_left(exponential_function(J)), shift)
+
 
 class TestDerivativeRules:
     def test_derivative_of_constant_is_zero(self, rng):
@@ -412,9 +424,9 @@ class TestConvolution:
             convolve(one, one, -1.0)
 
     def test_direct_route_built_on_first_use(self):
-        # an estimated certificate holds only past T = 5, which a convolution
-        # cannot use, but the star product route needs no certificate
-        f = TimeDomainFunction.from_callable(lambda t: ONE * math.exp(-t))
+        # a certificate that holds only past T = 5 is no use to a convolution,
+        # but the star product route needs no certificate
+        f = TimeDomainFunction(lambda t: ONE * math.exp(-t), GrowthBound(0.0, 1.0, 5.0))
         T = laplace_of_convolution(f, constant_function(ONE))
         assert_qclose(T(Quaternion.real(2.0)), Quaternion.real(1.0 / 6.0), 1e-8)
         with pytest.raises(UsageError):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from sliceregular.errors import UsageError
-from sliceregular.regions import Region, annulus, disk, half_plane
+from sliceregular.regions import annulus, disk, half_plane
 
 
 class TestContainment:
@@ -66,14 +66,3 @@ class TestSamplingAndJson:
                 assert region.contains(p.x, p.y)
                 assert p.y >= 0
                 assert abs(p.unit.norm() - 1) < 1e-12
-
-    def test_json_roundtrip(self):
-        for region in (half_plane(0.25), disk(3.0), annulus(1.0, 2.0)):
-            assert Region.from_json_dict(region.to_json_dict()) == region
-
-    def test_json_kind_names(self):
-        assert half_plane(1.0).to_json_dict() == {"kind": "half-plane", "parameters": [1.0]}
-
-    def test_bad_json(self):
-        with pytest.raises(UsageError):
-            Region.from_json_dict({"kind": "square", "parameters": [1.0]})

@@ -46,8 +46,6 @@ from sliceregular.stems import (
 from sliceregular.verify import (
     complex_cr_residual,
     is_slice_preserving,
-    probes_from_json,
-    probes_to_json,
     slice_splitting,
     verify_regular,
 )
@@ -444,17 +442,3 @@ class TestVerifiers:
         for _ in range(30):
             q = random_quaternion(rng, 0.5)
             assert (A(q) - B(q)).norm() <= 1e-8
-
-    def test_probe_json_roundtrip(self, rng):
-        probes = disk(1.5).random_slice_points(rng, 5, 0.1)
-        back = probes_from_json(probes_to_json(probes))
-        assert len(back) == 5
-        for a, b in zip(probes, back):
-            assert a.x == b.x and a.y == b.y and a.unit == b.unit
-
-    def test_residual_report_json(self, rng):
-        probes = disk(1.5).random_slice_points(rng, 3, 0.1)
-        report = verify_regular(lambda q: q, Side.LEFT, probes)
-        data = report.to_json_dict()
-        assert data["side"] == "left"
-        assert len(data["residuals"]) == 3

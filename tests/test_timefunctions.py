@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceregular.errors import AccuracyError, EstimationError, UsageError
+from sliceregular.errors import AccuracyError, UsageError
 from sliceregular.laplace import convolution
 from sliceregular.quaternion import I, J, K, ONE, Quaternion, quat_exp
 from sliceregular.timefunctions import (
     TimeDomainFunction,
     constant_function,
-    estimate_exp_order,
     exponential_function,
     heaviside_shifted,
     polynomial_function,
@@ -59,14 +58,11 @@ class TestFactories:
         with pytest.raises(UsageError):
             heaviside_shifted(constant_function(ONE), 0.0)
 
-    def test_initial_value_richardson(self):
-        f = TimeDomainFunction(lambda t: ONE * (1 + t + t * t), constant_function(ONE).growth)
-        assert_qclose(f.initial_value(), ONE, 1e-9)
-
-    def test_initial_value_supplied_wins(self):
-        f = TimeDomainFunction(lambda t: ONE * t, constant_function(ONE).growth,
-                               value_at_zero_plus=5 * ONE)
-        assert f.initial_value() == 5 * ONE
+    def test_zero_padded_polynomial_is_a_constant(self):
+        # zero coefficients add nothing to K, however large their monomial's peak
+        f = polynomial_function([1.0] + [0.0] * 129)
+        assert f.growth.K == 1.0
+        assert f(2.0) == ONE
 
     def test_scaling_by_a_tiny_factor_keeps_a_positive_growth_constant(self):
         # K * |factor| underflows to 0; the certificate clamps it to 1e-300
@@ -100,6 +96,7 @@ class TestDerivedCertificates:
         (lambda: constant_function(1e200).scaled_right(Quaternion.real(1e200)), "a right scaling"),
         (lambda: constant_function(1e308) + constant_function(1e308), "a sum"),
         (lambda: polynomial_function([0.0] * 100 + [1e300]), "a polynomial"),
+        (lambda: polynomial_function([1.0] * 130), "a polynomial"),
     ])
     def test_overflow_raises_accuracy_error_naming_the_operation(self, build, operation):
         with pytest.raises(AccuracyError, match=f"growth certificate of {operation} overflows"):
@@ -146,39 +143,6 @@ class TestJsonIngestion:
             time_function_from_json({"kind": "exp"})
         with pytest.raises(UsageError):
             time_function_from_json([1, 2, 3])
-
-
-class TestExpOrderEstimation:
-    def test_constant(self):
-        bound = estimate_exp_order(lambda t: ONE, 10.0)
-        assert bound.a == 0.0
-
-    def test_from_callable_estimates_when_omitted(self):
-        f = TimeDomainFunction.from_callable(lambda t: ONE * math.exp(1.2 * t))
-        assert abs(f.growth.a - 1.2) <= 0.05
-        g = TimeDomainFunction.from_callable(
-            lambda t: ONE, growth=constant_function(ONE).growth)
-        assert g.growth.a == 0.0 and g.growth.K == 1.0
-
-    def test_e2t(self):
-        bound = estimate_exp_order(lambda t: ONE * math.exp(2 * t), 10.0)
-        assert abs(bound.a - 2.0) <= 0.05
-        assert bound.K >= 1.0
-
-    def test_bounded_oscillation(self):
-        bound = estimate_exp_order(lambda t: quat_exp(I * t), 10.0)
-        assert bound.a <= 0.05
-
-    def test_superexponential_raises(self):
-        with pytest.raises(EstimationError):
-            estimate_exp_order(lambda t: ONE * math.exp(t * t), 10.0)
-
-    def test_certificate_covers_samples(self):
-        bound = estimate_exp_order(lambda t: ONE * (math.exp(1.5 * t) * (2 + math.sin(t))), 12.0)
-        for k in range(50):
-            t = bound.T + k * 0.2
-            v = math.exp(1.5 * t) * (2 + math.sin(t))
-            assert v <= bound.K * math.exp(bound.a * t) * (1 + 1e-9)
 
 
 # -- the array evaluator against scalar quaternion arithmetic ------------------
