@@ -68,14 +68,20 @@ def _parse_unit(u) -> Quaternion:
 
 def _expand_axis(spec, field: str) -> list[float]:
     try:
-        start, stop, count = float(spec[0]), float(spec[1]), int(spec[2])
+        start, stop, count = float(spec[0]), float(spec[1]), spec[2]
     except (TypeError, ValueError, IndexError) as exc:
         raise UsageError(f"grid field {field!r} must be [start, stop, count]: {exc}") from exc
-    if count < 1:
-        raise UsageError(f"grid field {field!r} needs count >= 1")
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise UsageError(f"grid field {field!r} needs an integer count >= 1, got {count!r}")
     if count == 1:
         return [start]
     return [start + (stop - start) * k / (count - 1) for k in range(count)]
+
+
+def _listed(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise UsageError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def _parse_probes(value: Optional[str]) -> list[Quaternion]:
@@ -85,13 +91,15 @@ def _parse_probes(value: Optional[str]) -> list[Quaternion]:
     if isinstance(data, list):
         return [quat_from_list(p) for p in data]
     if "points" in data:
-        return [quat_from_list(p) for p in data["points"]]
+        return [quat_from_list(p) for p in _listed(data["points"], "points")]
     if "grid" in data:
         g = data["grid"]
+        if not isinstance(g, dict):
+            raise UsageError(f"grid must be an object with 're', 'units' and 'im', got {g!r}")
         try:
             res = sorted(_expand_axis(g["re"], "re"))
             ims = sorted(_expand_axis(g["im"], "im"))
-            units = [_parse_unit(u) for u in g["units"]]
+            units = [_parse_unit(u) for u in _listed(g["units"], "grid units")]
         except KeyError as exc:
             raise UsageError(f"grid descriptor is missing field {exc}") from exc
         return [slice_embed(x, y, u) for x in res for u in units for y in ims]
@@ -329,7 +337,7 @@ def table(input_, probes, fmt, out):
     def record(q: Quaternion) -> dict:
         try:
             return {"q": q.to_list(), "value": fn.evaluate(q).to_list()}
-        except DomainError as exc:
+        except (DomainError, AccuracyError) as exc:
             return {"q": q.to_list(), "error": str(exc)}
 
     records = [record(q) for q in points]

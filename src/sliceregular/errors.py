@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reduction that checks share."""
+
+import math
+from typing import Iterable
 
 
 class SliceRegularError(Exception):
@@ -39,3 +42,18 @@ class StemSymmetryError(SliceRegularError):
 
 class ConsistencyError(SliceRegularError):
     """An internal algebraic identity failed beyond numerical tolerance."""
+
+
+def worst_case(values: Iterable[float]) -> float:
+    """The largest of the values: 0.0 for none, and NaN if any of them is NaN.
+
+    `max` drops a NaN that does not come first, so a check reduced with it
+    would pass on a residual it could not compute.  Every value is consumed,
+    so a generator that draws random samples leaves its generator in the
+    same state either way.  Compare the result as `not worst <= tol`.
+    """
+    out = 0.0
+    for v in values:
+        if v > out or math.isnan(v):
+            out = v
+    return out

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import quadrature
-from .errors import AccuracyError, DomainError, UsageError
+from .errors import AccuracyError, DomainError, UsageError, worst_case
 from .quaternion import Quaternion, quat_mul_rows
 from .regions import Region, half_plane
 from .series import Side
@@ -397,12 +397,9 @@ class ConvolutionTransform:
     __call__ = evaluate
 
     def crosscheck(self, probes: Sequence[Quaternion]) -> float:
-        """Max deviation between the two evaluators over the probes."""
-        worst = 0.0
-        for s in probes:
-            d = (self.direct.evaluate(s) - self.via_product.evaluate(s)).norm()
-            worst = max(worst, d)
-        return worst
+        """Max deviation between the two evaluators over the probes (NaN if any is)."""
+        return worst_case((self.direct.evaluate(s) - self.via_product.evaluate(s)).norm()
+                          for s in probes)
 
 
 def laplace_of_convolution(f: TimeDomainFunction, g: TimeDomainFunction,
@@ -431,7 +428,7 @@ class DualityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.left_residual, self.right_residual)
+        return worst_case((self.left_residual, self.right_residual))
 
 
 def reflection_duality_check(f: TimeDomainFunction, probes: Sequence[Quaternion],
@@ -446,6 +443,6 @@ def reflection_duality_check(f: TimeDomainFunction, probes: Sequence[Quaternion]
     right_of_conj = laplace_right(fbar, abs_tol)
     right = laplace_right(f, abs_tol).fn.reflect()
     left_of_conj = laplace_left(fbar, abs_tol)
-    r1 = max((left.evaluate(s) - right_of_conj.evaluate(s)).norm() for s in probes)
-    r2 = max((right.evaluate(s) - left_of_conj.evaluate(s)).norm() for s in probes)
+    r1 = worst_case((left.evaluate(s) - right_of_conj.evaluate(s)).norm() for s in probes)
+    r2 = worst_case((right.evaluate(s) - left_of_conj.evaluate(s)).norm() for s in probes)
     return DualityReport(r1, r2)

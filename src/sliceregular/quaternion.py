@@ -163,10 +163,15 @@ UNITS = (ONE, I, J, K)
 
 
 def quat_components(values: Sequence[float]) -> tuple[float, float, float, float]:
-    """The four components of a 4-list as floats."""
+    """The four components of a 4-list as floats; anything else is a UsageError."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise UsageError(f"a quaternion is a list of 4 numbers, got {values!r}")
     if len(values) != 4:
         raise UsageError(f"a quaternion needs exactly 4 components, got {len(values)}")
-    return tuple(float(v) for v in values)
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"quaternion components must be numbers, got {values!r}") from exc
 
 
 def quat_from_list(values: Sequence[float]) -> Quaternion:

@@ -148,7 +148,7 @@ def extend_intrinsic(stem: IntrinsicStem, side: Side = Side.LEFT) -> SliceRegula
     at the probe points is rejected.
     """
     defect = symmetry_defect(stem, _symmetry_probes(stem.domain))
-    if defect > _SYMMETRY_TOL:
+    if not defect <= _SYMMETRY_TOL:
         raise StemSymmetryError(
             f"stem violates f(conj z) = conj(f(z)) by {defect:.3e} (tol {_SYMMETRY_TOL:.1e})"
         )

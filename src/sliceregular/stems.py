@@ -22,7 +22,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import CapabilityError, PoleError, UsageError
+from .errors import AccuracyError, CapabilityError, PoleError, UsageError, worst_case
 from .regions import Region, disk
 
 __all__ = [
@@ -126,11 +126,8 @@ def numeric_derivative_stem(stem: IntrinsicStem, h: float = NUMERIC_STEP) -> Int
 
 
 def symmetry_defect(stem: IntrinsicStem, points: Sequence[complex]) -> float:
-    """Largest violation of f(conj z) = conj(f(z)) over the probe points."""
-    worst = 0.0
-    for z in points:
-        worst = max(worst, abs(stem(z.conjugate()) - stem(z).conjugate()))
-    return worst
+    """Largest violation of f(conj z) = conj(f(z)) over the probe points (NaN if any is)."""
+    return worst_case(abs(stem(z.conjugate()) - stem(z).conjugate()) for z in points)
 
 
 # -- factories ---------------------------------------------------------------
@@ -223,9 +220,17 @@ def _poly_sub(a: Sequence[float], b: Sequence[float]) -> list[float]:
     return [x - y for x, y in zip(a, b)]
 
 
+def _exp(z: complex) -> complex:
+    """cmath.exp; a value past the float range raises AccuracyError, not OverflowError."""
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        raise AccuracyError(f"exp overflows at z = {z}", achieved=math.inf) from None
+
+
 def exp_stem(domain: Region = ENTIRE) -> IntrinsicStem:
     # its own derivative, built afresh so that no stem refers to itself
-    return IntrinsicStem(cmath.exp, domain, derivative=lambda: exp_stem(domain), name="exp")
+    return IntrinsicStem(_exp, domain, derivative=lambda: exp_stem(domain), name="exp")
 
 
 def exp_decay_stem(rate: float, domain: Region = ENTIRE) -> IntrinsicStem:
@@ -236,7 +241,7 @@ def exp_decay_stem(rate: float, domain: Region = ENTIRE) -> IntrinsicStem:
         return stem_scale(-r, exp_decay_stem(r, domain))
 
     return IntrinsicStem(
-        lambda z: cmath.exp(-r * z), domain, derivative=make_derivative,
+        lambda z: _exp(-r * z), domain, derivative=make_derivative,
         name=f"exp(-{r:g} z)",
     )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from .errors import worst_case
 from .quaternion import Quaternion, SliceCoordinates, slice_embed
 from .series import Side
 from .slicefn import SliceRegularFunction
@@ -64,8 +65,7 @@ def verify_regular(fn, side: Side, probes: Sequence[SliceCoordinates],
         else:
             residual = (dfdx + dfdy * unit) * 0.5
         residuals.append(residual.norm())
-    return ResidualReport(side, step, max(residuals, default=0.0),
-                          residuals, list(probes))
+    return ResidualReport(side, step, worst_case(residuals), residuals, list(probes))
 
 
 def is_slice_preserving(fn, probes: Sequence[SliceCoordinates],
@@ -73,19 +73,20 @@ def is_slice_preserving(fn, probes: Sequence[SliceCoordinates],
     """True iff real probes land on the real axis and slice probes stay in their slice.
 
     The two criteria cross-check each other: a regular function mapping reals
-    to reals is automatically slice-preserving and conversely.
+    to reals is automatically slice-preserving and conversely.  A NaN value
+    preserves nothing.
     """
     evaluate = _as_evaluator(fn)
     for p in probes:
         value = evaluate(slice_embed(p.x, p.y, p.unit))
         if p.y == 0.0:
-            if value.im_norm() > tol:
+            if not value.im_norm() <= tol:
                 return False
         else:
             imag = value.im()
             along = imag.dot(p.unit)
             off_slice = imag - p.unit * along
-            if off_slice.norm() > tol:
+            if not off_slice.norm() <= tol:
                 return False
     return True
 

@@ -4,6 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from sliceregular import suites
 from sliceregular.cli import cli
 from sliceregular.quaternion import Quaternion, quat_from_list
 
@@ -111,10 +112,28 @@ class TestTransform:
         {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": 0, "K": "nan"}},
         {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": 0, "K": 1, "T": "nan"}},
         {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": 0, "K": 1, "T": "inf"}},
+        {"kind": "exp", "b": [0, 1, 0, 0], "value_at_zero_plus": 5},
+        {"kind": "exp", "b": [0, 1, 0, 0], "value_at_zero_plus": [1, "a", 0, 0]},
     ])
     def test_malformed_time_metadata_exit_2(self, runner, spec):
         result = runner.invoke(cli, ["transform", "--input", json.dumps(spec),
                                      "--probes", PROBES_3])
+        assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("probes", [
+        {"points": 5},
+        {"points": [1, 2]},
+        {"points": [[1, 0, 0, "x"]]},
+        {"grid": None},
+        {"grid": {"re": [1, 2, 2], "units": 5, "im": [0, 1, 2]}},
+        {"grid": {"re": [1, 2, 2], "units": [[0, "a", 0, 0]], "im": [0, 1, 2]}},
+        {"grid": {"re": [1, 2, 2.7], "units": ["i"], "im": [0, 1, 2]}},
+        {"grid": {"re": [1, 2, True], "units": ["i"], "im": [0, 1, 2]}},
+    ], ids=["points-not-a-list", "point-not-a-list", "point-entry", "grid-null",
+            "units-not-a-list", "grid-unit-entry", "grid-count-float", "grid-count-bool"])
+    def test_malformed_probes_exit_2(self, runner, probes):
+        result = runner.invoke(cli, ["transform", "--input", EXP_J,
+                                     "--probes", json.dumps(probes)])
         assert result.exit_code == 2, result.output
 
     @pytest.mark.parametrize("spec, operation", [
@@ -201,6 +220,16 @@ class TestEvalAndTable:
         value = json.loads(result.output)["records"][0]["value"]
         assert abs(value[0] + 1.0) < 1e-12  # e^{j pi} = -1
 
+    def test_table_exp_overflow_is_an_error_record(self, runner):
+        # e^710 is past the float range: a typed error for that probe, not a traceback
+        probes = json.dumps({"points": [[710, 0, 0, 0], [1, 0, 0, 0]]})
+        result = runner.invoke(cli, ["table", "--input", TABLE_EXP, "--probes", probes])
+        assert result.exit_code == 1
+        overflow, fine = json.loads(result.stdout)["records"]
+        assert "exp overflows" in overflow["error"]
+        assert "achieved error bound inf" in overflow["error"]
+        assert fine["value"] == [math.e, 0.0, 0.0, 0.0]
+
     def test_table_kernel(self, runner):
         spec = json.dumps({"function": "cauchy_kernel", "s": [0, 1, 0, 0]})
         probes = json.dumps({"points": [[2, 0, 0, 0]]})
@@ -256,11 +285,59 @@ class TestVerify:
         assert result.exit_code == 2
         assert "No such option" in result.output
 
+    # `verify <suite> --seed 0 --format csv`, bit for bit; the laplace suite's
+    # residuals may move within their est_error bounds, so it has no golden
+    GOLDEN_VERIFY_CSV = {
+        "algebra": (
+            'suite,property,residual,threshold,mode,passed\n'
+            'algebra,norm multiplicativity |pq|=|p||q|,3.9928503964741209e-16,9.9999999999999998e-13,le,true\n'
+            'algebra,conjugation anti-automorphism,4.9960036108132044e-16,1e-14,le,true\n'
+            'algebra,slice decompose/embed roundtrip,1.3322676295501878e-15,1e-14,le,true\n'
+            'algebra,exp agrees with its power series,6.4354640488548389e-15,9.9999999999999998e-13,le,true\n'
+            'algebra,exp transported through each slice,3.2751579226442118e-15,1e-13,le,true\n'
+            'algebra,real-axis star product law,7.6308510596657089e-16,1e-10,le,true\n'
+            'algebra,reflection anti-homomorphism on series,2.082963028648268e-15,1e-13,le,true\n'
+            'algebra,intrinsic series are central,1.0175362097255202e-15,1e-13,le,true\n'
+            'algebra,symmetrization has real coefficients,8.7639081568763011e-16,1e-14,le,true\n'
+            'algebra,star reciprocal identity,9.2459464809514589e-13,1e-10,le,true\n'
+            'algebra,distributivity and right scalar law,2.8435583831733384e-15,1e-13,le,true\n'
+            'algebra,reflection pointwise law on series,5.4389598220420729e-16,9.9999999999999998e-13,le,true\n'
+        ),
+        "regularity": (
+            'suite,property,residual,threshold,mode,passed\n'
+            'regularity,exp is slice regular,1.3207838041776056e-10,9.9999999999999995e-07,le,true\n'
+            'regularity,conjugation witness is detected,1.000000000006575,0.5,ge,true\n'
+            'regularity,Cauchy kernel left regular in q,7.1863527377574195e-12,9.9999999999999995e-07,le,true\n'
+            'regularity,Cauchy kernel right regular in s,7.0128449945078482e-12,9.9999999999999995e-07,le,true\n'
+            'regularity,tensor and series forms agree,2.8174301870297392e-15,1e-10,le,true\n'
+            'regularity,reflection anti-isomorphism pointwise,4.070144838902081e-15,1e-10,le,true\n'
+            'regularity,splitting into two holomorphic parts,1.2129535865466151e-09,9.9999999999999995e-07,le,true\n'
+            'regularity,identity principle regression,4.0275243467429286e-15,1e-08,le,true\n'
+            'regularity,reflection swaps the regular side,3.577259469845323e-09,9.9999999999999995e-07,le,true\n'
+            'regularity,slice preservation classification,0,0.5,le,true\n'
+        ),
+    }
+
     def test_csv_format(self, runner):
         result = runner.invoke(cli, ["verify", "algebra", "--format", "csv"])
         assert result.exit_code == 0
         header = result.output.splitlines()[0]
         assert header == "suite,property,residual,threshold,mode,passed"
+        assert result.output == self.GOLDEN_VERIFY_CSV["algebra"]
+
+    def test_regularity_csv_golden(self, runner):
+        result = runner.invoke(cli, ["verify", "regularity", "--seed", "0", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output == self.GOLDEN_VERIFY_CSV["regularity"]
+
+    def test_nan_residual_fails_the_check(self, runner, monkeypatch):
+        # max(0.0, nan) is 0.0: a max-reduced check would pass on residuals it never computed
+        monkeypatch.setattr(suites, "complex_cr_residual", lambda *args: math.nan)
+        result = runner.invoke(cli, ["verify", "regularity"])
+        assert result.exit_code == 1
+        record, = (r for r in json.loads(result.stdout)["records"]
+                   if r["property"] == "splitting into two holomorphic parts")
+        assert math.isnan(record["residual"]) and not record["passed"]
 
 
 class TestDeterminismAndFormats:

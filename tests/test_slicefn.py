@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from sliceregular.quaternion import (
     ONE,
     UNITS,
     Quaternion,
+    SliceCoordinates,
     quat_exp,
     random_quaternion,
     random_unit_imaginary,
     slice_decompose,
     slice_embed,
 )
+from sliceregular.laplace import ConvolutionTransform, DualityReport
 from sliceregular.regions import annulus, disk, half_plane
 from sliceregular.series import RegularSeries, Side
 from sliceregular.slicefn import (
@@ -51,6 +54,19 @@ from sliceregular.verify import (
 )
 
 from conftest import assert_qclose
+
+
+def _accepts(stem) -> bool:
+    try:
+        extend_intrinsic(stem)
+    except StemSymmetryError:
+        return False
+    return True
+
+
+def _nan_right_of_one(q):
+    """q left of Re q = 1 and NaN right of it, so probes in that order put a NaN second."""
+    return q if q.w < 1.0 else Quaternion(*[math.nan] * 4)
 
 
 def left_series(coeffs):
@@ -430,6 +446,24 @@ class TestVerifiers:
         rebuilt = (slice_embed(f_part(z).real, f_part(z).imag, unit_i)
                    + slice_embed(g_part(z).real, g_part(z).imag, unit_i) * unit_j)
         assert_qclose(rebuilt, v, 1e-12)
+
+    @pytest.mark.parametrize("passes", [
+        lambda: _accepts(IntrinsicStem(lambda z: complex("nan"))),
+        lambda: verify_regular(_nan_right_of_one, Side.LEFT,
+                               [SliceCoordinates(0.5, 0.5, I), SliceCoordinates(2.0, 0.5, I)]
+                               ).max_residual <= 1e-6,
+        lambda: is_slice_preserving(lambda q: Quaternion(*[math.nan] * 4),
+                                    [slice_decompose(Quaternion(0.5, 0.5, 0, 0))]),
+        lambda: ConvolutionTransform(
+            SimpleNamespace(evaluate=lambda s: s),
+            lambda: SimpleNamespace(evaluate=_nan_right_of_one),
+        ).crosscheck([Quaternion.real(0.5), Quaternion.real(2.0)]) <= 1e-6,
+        lambda: DualityReport(0.0, math.nan).max_residual <= 1e-6,
+    ], ids=["extend_intrinsic", "verify_regular", "is_slice_preserving", "crosscheck",
+            "DualityReport"])
+    def test_nan_fails_the_check(self, passes):
+        # max() keeps 0.0 or the first value over a later NaN, and nan > tol is False
+        assert not passes()
 
     def test_identity_principle(self, rng):
         # two constructions agreeing on 30 real probes agree on random quaternions
