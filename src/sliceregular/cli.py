@@ -19,7 +19,9 @@ only the options it reads; --tol must be positive.  Exit codes: 0 ok,
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import sys
 from pathlib import Path
@@ -29,7 +31,16 @@ import click
 
 from .errors import AccuracyError, DomainError, SliceRegularError, UsageError
 from .laplace import DEFAULT_ABS_TOL, exp_transform_closed_form, laplace_left, laplace_right
-from .quaternion import I, J, K, Quaternion, quat_from_list, slice_embed, unit_imaginary
+from .quaternion import (
+    I,
+    J,
+    K,
+    Quaternion,
+    quat_from_list,
+    real_number,
+    slice_embed,
+    unit_imaginary,
+)
 from .series import RegularSeries, Side
 from .slicefn import cauchy_kernel, cauchy_kernel_right, exp_function
 from .suites import run_suite
@@ -68,9 +79,11 @@ def _parse_unit(u) -> Quaternion:
 
 def _expand_axis(spec, field: str) -> list[float]:
     try:
-        start, stop, count = float(spec[0]), float(spec[1]), spec[2]
-    except (TypeError, ValueError, IndexError) as exc:
+        start, stop, count = spec[0], spec[1], spec[2]
+    except (TypeError, IndexError) as exc:
         raise UsageError(f"grid field {field!r} must be [start, stop, count]: {exc}") from exc
+    start = real_number(start, f"the start of grid field {field!r}")
+    stop = real_number(stop, f"the stop of grid field {field!r}")
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise UsageError(f"grid field {field!r} needs an integer count >= 1, got {count!r}")
     if count == 1:
@@ -142,10 +155,11 @@ def _emit(records: list[dict], fmt: str, out: Optional[str],
             for key in flat:
                 if key not in fieldnames:
                     fieldnames.append(key)
-        lines = [",".join(fieldnames)]
-        for flat in flats:
-            lines.append(",".join(flat.get(k, "") for k in fieldnames))
-        text = "\n".join(lines) + "\n"
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([flat.get(k, "") for k in fieldnames] for flat in flats)
+        text = buffer.getvalue()
     if out:
         Path(out).write_text(text)
     else:

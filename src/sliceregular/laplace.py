@@ -301,8 +301,8 @@ def convolve(f: TimeDomainFunction, g: TimeDomainFunction, t: float,
              abs_tol: float = DEFAULT_ABS_TOL) -> Quaternion:
     """(f o g)(t) = integral(f(t - tau) g(tau) d tau, tau=0..t); order matters."""
     _check_tol(abs_tol)
-    if t < 0:
-        raise UsageError("convolution is defined for t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise UsageError(f"convolution is defined for finite t >= 0, got {t!r}")
     if t == 0.0:
         return Quaternion()
     breaks = {b for b in g.breakpoints if 0.0 < b < t}
@@ -356,50 +356,35 @@ def convolution(f: TimeDomainFunction, g: TimeDomainFunction,
                     *(bf + bg for bf in f.breakpoints for bg in g.breakpoints)})
     return TimeDomainFunction.from_array(
         evaluate,
-        GrowthBound.derived(c + CONV_RATE_MARGIN, max(K, 1e-300), 0.0, "a convolution"),
-        kinks, Quaternion(),
-    )
+        GrowthBound.derived(c + CONV_RATE_MARGIN, max(K, 1e-300), 0.0, "a convolution"), kinks)
 
 
-class ConvolutionTransform:
-    """Transform of a convolution, carried by its two lawful evaluators.
+class ConvolutionTransform(TransformResult):
+    """Transform of a convolution: the star product F * G of the factor transforms.
 
-    `via_product` is the star product of the factor transforms and serves
-    `evaluate`; `direct` is the quadrature transform of the convolution
-    itself, built on first use and kept (its convolution caches values by t).
-    They agree on the common half-plane (the direct route needs a slightly
-    larger real part because the convolution's certificate pays a rate
-    margin).  Building `direct` raises UsageError for factors whose growth
-    certificates do not hold for all t > 0; `via_product` needs no such
-    certificate.
+    It is a TransformResult, so every rule applies to it.  `direct` is the
+    quadrature transform of the convolution itself, built on first use and
+    kept (its convolution caches values by t).  The two agree on the common
+    half-plane (the direct route needs a slightly larger real part because
+    the convolution's certificate pays a rate margin).  Building `direct`
+    raises UsageError for factors whose growth certificates do not hold for
+    all t > 0; the star product needs no such certificate.
     """
 
-    def __init__(self, via_product: TransformResult,
-                 build_direct: Callable[[], TransformResult]):
-        self.via_product = via_product
+    # an entry of this class's own, so that a tracer can patch it apart
+    evaluate = TransformResult.evaluate
+
+    def __init__(self, fn: SliceRegularFunction, build_direct: Callable[[], TransformResult]):
+        super().__init__(fn)
         self._build_direct = build_direct
 
     @cached_property
     def direct(self) -> TransformResult:
         return self._build_direct()
 
-    @property
-    def domain(self) -> Region:
-        return self.via_product.domain
-
-    @property
-    def side(self) -> Side:
-        return self.via_product.side
-
-    def evaluate(self, s) -> Quaternion:
-        return self.via_product.evaluate(s)
-
-    __call__ = evaluate
-
     def crosscheck(self, probes: Sequence[Quaternion]) -> float:
         """Max deviation between the two evaluators over the probes (NaN if any is)."""
-        return worst_case((self.direct.evaluate(s) - self.via_product.evaluate(s)).norm()
-                          for s in probes)
+        return worst_case((self.direct.evaluate(s) - self.evaluate(s)).norm() for s in probes)
 
 
 def laplace_of_convolution(f: TimeDomainFunction, g: TimeDomainFunction,
@@ -410,10 +395,8 @@ def laplace_of_convolution(f: TimeDomainFunction, g: TimeDomainFunction,
     """
     F = laplace_left(f, abs_tol)
     G = laplace_left(g, abs_tol)
-    dom = half_plane(max(f.growth.a, g.growth.a))
-    via_product = TransformResult(SliceRegularFunction(Side.LEFT, F.fn.star(G.fn).stem, dom))
     return ConvolutionTransform(
-        via_product, lambda: laplace_left(convolution(f, g, abs_tol), abs_tol))
+        F.fn.star(G.fn), lambda: laplace_left(convolution(f, g, abs_tol), abs_tol))
 
 
 # -- duality -----------------------------------------------------------------------

@@ -29,6 +29,7 @@ __all__ = [
     "UNITS",
     "quat_components",
     "quat_from_list",
+    "real_number",
     "unit_imaginary",
     "slice_decompose",
     "slice_embed",
@@ -162,16 +163,23 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 UNITS = (ONE, I, J, K)
 
 
+def real_number(value, what: str) -> float:
+    """An int, a float or a numpy real as a float; anything else is a UsageError.
+
+    float() would also take JSON booleans and numeric strings; they are not numbers here.
+    """
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise UsageError(f"{what} must be a number, got {value!r}")
+
+
 def quat_components(values: Sequence[float]) -> tuple[float, float, float, float]:
     """The four components of a 4-list as floats; anything else is a UsageError."""
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise UsageError(f"a quaternion is a list of 4 numbers, got {values!r}")
     if len(values) != 4:
         raise UsageError(f"a quaternion needs exactly 4 components, got {len(values)}")
-    try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"quaternion components must be numbers, got {values!r}") from exc
+    return tuple(real_number(v, "a quaternion component") for v in values)
 
 
 def quat_from_list(values: Sequence[float]) -> Quaternion:

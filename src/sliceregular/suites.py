@@ -392,8 +392,7 @@ def laplace_suite(seed: int = 0, tol: Optional[float] = None) -> list[PropertyCh
     f_t_exp = polynomial_function([Quaternion(), ONE])  # t
     t_times_decay = TimeDomainFunction(
         lambda t: Quaternion.real(t * math.exp(-t)),
-        f_t_exp.growth, (), Quaternion(),
-    )
+        f_t_exp.growth)
 
     # every transform here is slice regular on its side
     residuals = []
@@ -443,7 +442,7 @@ def laplace_suite(seed: int = 0, tol: Optional[float] = None) -> list[PropertyCh
                                 0.0 if ok else 1.0, 0.5))
     minus_t_f = TimeDomainFunction(
         lambda t: Quaternion.real(-t * t * math.exp(-t)), polynomial_function(
-            [Quaternion(), Quaternion(), ONE]).growth, (), Quaternion())
+            [Quaternion(), Quaternion(), ONE]).growth)
     F_deriv_numeric = F.fn.slice_derivative(numeric_step=1e-4)
     G = laplace_left(minus_t_f)
     check("transform derivative identity",
@@ -454,7 +453,7 @@ def laplace_suite(seed: int = 0, tol: Optional[float] = None) -> list[PropertyCh
     for b in (I, Quaternion(1, 0, 1, 0)):
         f_b = exponential_function(b)
         F_b = laplace_left(f_b)
-        lhs = transform_of_derivative(F_b, f_b.value_at_zero_plus)
+        lhs = transform_of_derivative(F_b, f_b(0.0))
         rhs = laplace_left(f_b.scaled_left(b))
         residuals.extend(_gaps(lhs, rhs, _transform_probes(rng, 5, re_lo=b.w + 0.6)))
     check("derivative rule sF - f(0+)", residuals, rtol)
@@ -468,7 +467,7 @@ def laplace_suite(seed: int = 0, tol: Optional[float] = None) -> list[PropertyCh
     f_i = exponential_function(I)
     damped = TimeDomainFunction(
         lambda t: quat_exp(Quaternion(-3.0, 1.0, 0, 0) * t),
-        exponential_function(Quaternion(-3, 1, 0, 0)).growth, (), ONE)
+        exponential_function(Quaternion(-3, 1, 0, 0)).growth)
     lhs = laplace_left(damped)
     rhs = shift_real(exp_transform_closed_form(I, Side.LEFT), 3.0)
     check("real shift rule", _gaps(lhs, rhs, _transform_probes(rng, 5, re_lo=0.2)), rtol)
@@ -493,7 +492,7 @@ def laplace_suite(seed: int = 0, tol: Optional[float] = None) -> list[PropertyCh
     # integral rule against a hand antiderivative of e^{it}
     running = TimeDomainFunction(
         lambda t: (quat_exp(I * t) - ONE) * (-1) * I + Quaternion(),
-        constant_function(2 * ONE).growth, (), Quaternion())
+        constant_function(2 * ONE).growth)
     lhs = transform_of_integral(laplace_left(f_i))
     rhs = laplace_left(running)
     check("integral rule s^{-1} F", _gaps(lhs, rhs, _transform_probes(rng, 6, re_lo=0.6)), rtol)

@@ -9,8 +9,7 @@ in numpy; a bare scalar callable t -> Quaternion is wrapped into it once,
 and `f(t)` reads one row of it.
 
 Transform inputs carry a growth certificate |f(t)| <= K e^{a t} for t > T
-(finite a >= 0, K > 0 and T >= 0), an optional list of jump locations and
-an optional value at 0+.
+(finite a >= 0, K > 0 and T >= 0) and an optional list of jump locations.
 The factories derive growth certificates; a bare callable's is declared.
 """
 
@@ -18,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AccuracyError, UsageError
-from .quaternion import CONJUGATE_SIGNS, ONE, Quaternion, quat_from_list, quat_mul_rows
+from .quaternion import CONJUGATE_SIGNS, Quaternion, quat_from_list, quat_mul_rows
 
 __all__ = [
     "GrowthBound",
@@ -84,71 +83,57 @@ class TimeDomainFunction:
     takes the array evaluator itself.
     """
 
-    __slots__ = ("evaluator", "growth", "breakpoints", "value_at_zero_plus")
+    __slots__ = ("evaluator", "growth", "breakpoints")
 
     def __init__(self, evaluator: Callable[[float], Quaternion], growth: GrowthBound,
-                 breakpoints: Sequence[float] = (),
-                 value_at_zero_plus: Optional[Quaternion] = None):
-        self._init(_rows_of(evaluator), growth, breakpoints, value_at_zero_plus)
+                 breakpoints: Sequence[float] = ()):
+        self._init(_rows_of(evaluator), growth, breakpoints)
 
     @classmethod
     def from_array(cls, evaluator: ArrayEvaluator, growth: GrowthBound,
-                   breakpoints: Sequence[float] = (),
-                   value_at_zero_plus: Optional[Quaternion] = None) -> "TimeDomainFunction":
+                   breakpoints: Sequence[float] = ()) -> "TimeDomainFunction":
         """Wrap an array evaluator: (n,) times -> (n, 4) components."""
         fn = cls.__new__(cls)
-        fn._init(evaluator, growth, breakpoints, value_at_zero_plus)
+        fn._init(evaluator, growth, breakpoints)
         return fn
 
     def _init(self, evaluator: ArrayEvaluator, growth: GrowthBound,
-              breakpoints: Sequence[float], value_at_zero_plus: Optional[Quaternion]) -> None:
+              breakpoints: Sequence[float]) -> None:
         self.evaluator = evaluator
         self.growth = growth
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
-        self.value_at_zero_plus = value_at_zero_plus
 
     def __call__(self, t: float) -> Quaternion:
         return Quaternion(*self.evaluator(np.array([float(t)]))[0].tolist())
 
     def conjugated(self) -> "TimeDomainFunction":
-        f, f0 = self.evaluator, self.value_at_zero_plus
+        f = self.evaluator
         return TimeDomainFunction.from_array(
-            lambda ts: f(ts) * CONJUGATE_SIGNS, self.growth, self.breakpoints,
-            f0.conjugate() if f0 is not None else None,
-        )
+            lambda ts: f(ts) * CONJUGATE_SIGNS, self.growth, self.breakpoints)
 
     def scaled_left(self, factor: Quaternion) -> "TimeDomainFunction":
-        f, g, f0 = self.evaluator, self.growth, self.value_at_zero_plus
+        f, g = self.evaluator, self.growth
         row = np.array(factor.components())
         return TimeDomainFunction.from_array(
             lambda ts: quat_mul_rows(row, f(ts)),
             GrowthBound.derived(g.a, max(g.K * factor.norm(), 1e-300), g.T, "a left scaling"),
-            self.breakpoints,
-            factor * f0 if f0 is not None else None,
-        )
+            self.breakpoints)
 
     def scaled_right(self, factor: Quaternion) -> "TimeDomainFunction":
-        f, g, f0 = self.evaluator, self.growth, self.value_at_zero_plus
+        f, g = self.evaluator, self.growth
         row = np.array(factor.components())
         return TimeDomainFunction.from_array(
             lambda ts: quat_mul_rows(f(ts), row),
             GrowthBound.derived(g.a, max(g.K * factor.norm(), 1e-300), g.T, "a right scaling"),
-            self.breakpoints,
-            f0 * factor if f0 is not None else None,
-        )
+            self.breakpoints)
 
     def __add__(self, other: "TimeDomainFunction") -> "TimeDomainFunction":
         f, g = self.evaluator, other.evaluator
         ga, gb = self.growth, other.growth
-        f0 = None
-        if self.value_at_zero_plus is not None and other.value_at_zero_plus is not None:
-            f0 = self.value_at_zero_plus + other.value_at_zero_plus
         return TimeDomainFunction.from_array(
             lambda ts: f(ts) + g(ts),
             GrowthBound.derived(max(ga.a, gb.a), ga.K + gb.K, max(ga.T, gb.T), "a sum"),
-            sorted({*self.breakpoints, *other.breakpoints}),
-            f0,
-        )
+            sorted({*self.breakpoints, *other.breakpoints}))
 
 
 # -- factories -----------------------------------------------------------------
@@ -158,8 +143,7 @@ def constant_function(value: Quaternion) -> TimeDomainFunction:
     v = value if isinstance(value, Quaternion) else Quaternion.real(value)
     row = np.array(v.components())
     return TimeDomainFunction.from_array(
-        lambda ts: np.zeros((ts.size, 4)) + row, GrowthBound(0.0, max(v.norm(), 1e-300)), (), v
-    )
+        lambda ts: np.zeros((ts.size, 4)) + row, GrowthBound(0.0, max(v.norm(), 1e-300)))
 
 
 def exponential_function(b: Quaternion) -> TimeDomainFunction:
@@ -181,7 +165,7 @@ def exponential_function(b: Quaternion) -> TimeDomainFunction:
             out[:, 1:] = np.multiply.outer(ex * np.sin(r * ts) / r, v)
         return out
 
-    return TimeDomainFunction.from_array(evaluate, GrowthBound(max(b.w, 0.0), 1.0), (), ONE)
+    return TimeDomainFunction.from_array(evaluate, GrowthBound(max(b.w, 0.0), 1.0))
 
 
 #: exponential order assigned to polynomials (any positive rate works)
@@ -216,7 +200,7 @@ def polynomial_function(coeffs: Sequence[Quaternion]) -> TimeDomainFunction:
         return acc
 
     return TimeDomainFunction.from_array(
-        evaluate, GrowthBound.derived(POLY_RATE, max(K, 1e-300), 0.0, "a polynomial"), (), cs[0])
+        evaluate, GrowthBound.derived(POLY_RATE, max(K, 1e-300), 0.0, "a polynomial"))
 
 
 def heaviside_shifted(inner: TimeDomainFunction, shift: float) -> TimeDomainFunction:
@@ -241,8 +225,7 @@ def heaviside_shifted(inner: TimeDomainFunction, shift: float) -> TimeDomainFunc
     T = g.T + shift if g.T > 0.0 else 0.0
     breaks = [shift] + [b + shift for b in inner.breakpoints]
     return TimeDomainFunction.from_array(
-        evaluate, GrowthBound.derived(g.a, g.K, T, "a Heaviside shift"), breaks, Quaternion()
-    )
+        evaluate, GrowthBound.derived(g.a, g.K, T, "a Heaviside shift"), breaks)
 
 
 def time_function_from_json(spec: dict) -> TimeDomainFunction:
@@ -252,8 +235,7 @@ def time_function_from_json(spec: dict) -> TimeDomainFunction:
     {"kind": "heaviside_shift", "shift": a, "inner": {...}},
     {"kind": "sum", "terms": [...]}, {"kind": "scale", "factor": [...],
     "where": "left"|"right", "inner": {...}}.  Optional keys exp_order
-    ({"a":, "K":, "T":}), breakpoints and value_at_zero_plus override the
-    derived metadata.
+    ({"a":, "K":, "T":}) and breakpoints override the derived metadata.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise UsageError("function spec must be an object with a 'kind' field")
@@ -300,7 +282,4 @@ def time_function_from_json(spec: dict) -> TimeDomainFunction:
             isinstance(b, (int, float)) and not isinstance(b, bool) and 0 <= b < math.inf
             for b in breaks):
         raise UsageError(f"breakpoints must be a list of finite numbers >= 0, got {breaks!r}")
-    f0 = fn.value_at_zero_plus
-    if "value_at_zero_plus" in spec:
-        f0 = quat_from_list(spec["value_at_zero_plus"])
-    return TimeDomainFunction.from_array(fn.evaluator, growth, breaks, f0)
+    return TimeDomainFunction.from_array(fn.evaluator, growth, breaks)

@@ -134,7 +134,7 @@ def test_criterion_4_derivative_rules():
     # integral rule for f = e^{it} against the hand antiderivative
     running = TimeDomainFunction(
         lambda t: (quat_exp(I * t) - ONE) * (-1) * I,
-        constant_function(2 * ONE).growth, (), Quaternion())
+        constant_function(2 * ONE).growth)
     lhs = transform_of_integral(laplace_left(exponential_function(I)))
     rhs = laplace_left(running)
     worst_48 = 0.0
@@ -209,7 +209,7 @@ def test_criterion_6_regularity_verification():
             polynomial_function([Quaternion(), ONE]).growth)), Side.LEFT),
         (laplace_left(exponential_function(I).scaled_left(ONE + K)), Side.LEFT),
         (heaviside_shift(laplace_left(exponential_function(J)), 1.0), Side.LEFT),
-        (conv.via_product, Side.LEFT),
+        (conv, Side.LEFT),
         (conv.direct, Side.LEFT),
     ]
     for result, side in transforms:

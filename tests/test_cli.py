@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -6,7 +8,9 @@ from click.testing import CliRunner
 
 from sliceregular import suites
 from sliceregular.cli import cli
+from sliceregular.laplace import exp_transform_closed_form
 from sliceregular.quaternion import Quaternion, quat_from_list
+from sliceregular.series import Side
 
 
 @pytest.fixture
@@ -82,6 +86,18 @@ class TestTransform:
         value = quat_from_list(json.loads(result.output)["records"][0]["value"])
         assert (value - Quaternion(0.3, -0.4, -0.1, 0.2)).norm() <= 1e-6
 
+    def test_right_scale_against_closed_form(self, runner):
+        # the left transform of f(t) c is F(s) c
+        b, factor = Quaternion(0.2, 0, 1, 0), Quaternion(1, 0.5, 0, -1)
+        spec = json.dumps({"kind": "scale", "factor": factor.to_list(), "where": "right",
+                           "inner": {"kind": "exp", "b": b.to_list()}})
+        result = runner.invoke(cli, ["transform", "--input", spec, "--probes", PROBES_3])
+        assert result.exit_code == 0, result.output
+        closed = exp_transform_closed_form(b, Side.LEFT)
+        for rec in json.loads(result.output)["records"]:
+            expected = closed(quat_from_list(rec["s"])) * factor
+            assert (quat_from_list(rec["value"]) - expected).norm() <= rec["est_error"]
+
     @pytest.mark.parametrize("command", ["transform", "regprod", "eval", "table"])
     def test_malformed_spec_exit_2(self, runner, command):
         result = runner.invoke(cli, [command, "--input", '{"kind": "exp"',
@@ -112,8 +128,6 @@ class TestTransform:
         {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": 0, "K": "nan"}},
         {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": 0, "K": 1, "T": "nan"}},
         {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": 0, "K": 1, "T": "inf"}},
-        {"kind": "exp", "b": [0, 1, 0, 0], "value_at_zero_plus": 5},
-        {"kind": "exp", "b": [0, 1, 0, 0], "value_at_zero_plus": [1, "a", 0, 0]},
     ])
     def test_malformed_time_metadata_exit_2(self, runner, spec):
         result = runner.invoke(cli, ["transform", "--input", json.dumps(spec),
@@ -129,11 +143,27 @@ class TestTransform:
         {"grid": {"re": [1, 2, 2], "units": [[0, "a", 0, 0]], "im": [0, 1, 2]}},
         {"grid": {"re": [1, 2, 2.7], "units": ["i"], "im": [0, 1, 2]}},
         {"grid": {"re": [1, 2, True], "units": ["i"], "im": [0, 1, 2]}},
+        {"points": [[2, 0, 0, True]]},
+        {"points": [["2", 0, 0, 0]]},
+        {"grid": {"re": ["1", 2, 2], "units": ["i"], "im": [0, 1, 2]}},
+        {"grid": {"re": [1, 2, 2], "units": ["i"], "im": [0, True, 2]}},
     ], ids=["points-not-a-list", "point-not-a-list", "point-entry", "grid-null",
-            "units-not-a-list", "grid-unit-entry", "grid-count-float", "grid-count-bool"])
+            "units-not-a-list", "grid-unit-entry", "grid-count-float", "grid-count-bool",
+            "point-entry-bool", "point-entry-string", "grid-start-string", "grid-stop-bool"])
     def test_malformed_probes_exit_2(self, runner, probes):
         result = runner.invoke(cli, ["transform", "--input", EXP_J,
                                      "--probes", json.dumps(probes)])
+        assert result.exit_code == 2, result.output
+
+    # float() takes JSON booleans and numeric strings; a quaternion component does not
+    @pytest.mark.parametrize("command, spec", [
+        ("eval", {"side": "left", "coeffs": [[True, "1", 0, 0]]}),
+        ("eval", {"side": "left", "coeffs": [[1, 0, 0, 0], [0, 0, False, 0]]}),
+        ("transform", {"kind": "exp", "b": [0, "1", 0, 0]}),
+        ("table", {"function": "cauchy_kernel", "s": [1, 0, True, 0]}),
+    ], ids=["eval-bool-and-string", "eval-bool", "transform-string", "table-bool"])
+    def test_booleans_and_strings_are_not_components(self, runner, command, spec):
+        result = runner.invoke(cli, [command, "--input", json.dumps(spec), "--probes", PROBES_3])
         assert result.exit_code == 2, result.output
 
     @pytest.mark.parametrize("spec, operation", [
@@ -361,6 +391,23 @@ class TestDeterminismAndFormats:
                 assert float(row[f"value_{suffix}"]) == rec["value"][m]
             assert float(row["est_error"]) == rec["est_error"]
 
+    # a probe outside the half-plane gives an error message holding a comma
+    @pytest.mark.parametrize("command, spec", [
+        ("transform", EXP_J),
+        ("table", json.dumps({"function": "exp_transform", "b": [0.1, 0, 0, 0]})),
+    ], ids=["transform", "table"])
+    def test_csv_error_records_keep_the_columns(self, runner, command, spec):
+        probes = json.dumps({"points": [[2, 0, 0, 0], [-1, 0, 0, 0], [1, 1, 0, 0]]})
+        args = [command, "--input", spec, "--probes", probes]
+        records = json.loads(runner.invoke(cli, args).output)["records"]
+        result = runner.invoke(cli, args + ["--format", "csv"])
+        assert result.exit_code == 1
+        header, *rows = csv.reader(io.StringIO(result.output))
+        assert len(rows) == 3
+        assert all(len(row) == len(header) for row in rows)
+        assert rows[1][header.index("error")] == records[1]["error"]
+        assert "," in records[1]["error"]
+
     def test_out_file(self, runner, tmp_path):
         path = tmp_path / "out.json"
         result = runner.invoke(cli, ["transform", "--input", EXP_J,
@@ -473,7 +520,7 @@ class TestDeterminismAndFormats:
         'q_w,q_x,q_y,q_z,value_w,value_x,value_y,value_z,error\n'
         '2.5,0.5,-1,0.29999999999999999,-0.14888810858187185,-0.055435591031876168,-0.26017402075309454,0.079545234612821786,\n'
         '3,0,0,0,-0.25,0,-0.25,0,\n'
-        '0.050000000000000003,0.10000000000000001,0,0,,,,,0.05+0.1i lies outside the annulus domain (2.23606797749979, inf)\n'
+        '0.050000000000000003,0.10000000000000001,0,0,,,,,"0.05+0.1i lies outside the annulus domain (2.23606797749979, inf)"\n'
     ),
     ('cauchy_kernel_right', 'json'): (
         '{\n  "records": [\n    {\n      "q": [\n        2.5,\n        0.5,\n'
@@ -492,7 +539,7 @@ class TestDeterminismAndFormats:
         'q_w,q_x,q_y,q_z,value_w,value_x,value_y,value_z,error\n'
         '2.5,0.5,-1,0.29999999999999999,0.32228556129449698,0.0035697950714516733,0.12282326167713435,0.01996854118093282,\n'
         '3,0,0,0,0.29795158286778406,0.065176908752327747,0.0093109869646182519,0,\n'
-        '0.050000000000000003,0.10000000000000001,0,0,,,,,0.05+0.1i lies outside the annulus domain (0.7348469228349533, inf)\n'
+        '0.050000000000000003,0.10000000000000001,0,0,,,,,"0.05+0.1i lies outside the annulus domain (0.7348469228349533, inf)"\n'
     ),
     ('exp_transform_left', 'json'): (
         '{\n  "records": [\n    {\n      "q": [\n        2.5,\n        0.5,\n'
@@ -511,7 +558,7 @@ class TestDeterminismAndFormats:
         'q_w,q_x,q_y,q_z,value_w,value_x,value_y,value_z,error\n'
         '2.5,0.5,-1,0.29999999999999999,0.38476579363023683,0.041087054784432642,0.10091468214668431,0.020061046526391707,\n'
         '3,0,0,0,0.31182795698924731,0.043010752688172053,-0.032258064516129031,0.086021505376344107,\n'
-        '0.050000000000000003,0.10000000000000001,0,0,,,,,0.05+0.1i lies outside the half-plane domain (0.1,)\n'
+        '0.050000000000000003,0.10000000000000001,0,0,,,,,"0.05+0.1i lies outside the half-plane domain (0.1,)"\n'
     ),
     ('exp_transform_right', 'json'): (
         '{\n  "records": [\n    {\n      "q": [\n        2.5,\n        0.5,\n'
@@ -530,7 +577,7 @@ class TestDeterminismAndFormats:
         'q_w,q_x,q_y,q_z,value_w,value_x,value_y,value_z,error\n'
         '2.5,0.5,-1,0.29999999999999999,0.38476579363023683,-0.074302053336990026,0.055409118380489474,0.06069101417477997,\n'
         '3,0,0,0,0.31182795698924731,0.043010752688172053,-0.032258064516129031,0.086021505376344107,\n'
-        '0.050000000000000003,0.10000000000000001,0,0,,,,,0.05+0.1i lies outside the half-plane domain (0.1,)\n'
+        '0.050000000000000003,0.10000000000000001,0,0,,,,,"0.05+0.1i lies outside the half-plane domain (0.1,)"\n'
     ),
     }
 

@@ -7,6 +7,7 @@ from sliceregular import quadrature
 from sliceregular.errors import AccuracyError, DomainError, UsageError
 from sliceregular.laplace import (
     DEFAULT_ABS_TOL,
+    TransformResult,
     convolution,
     convolve,
     derivative_of_transform,
@@ -210,7 +211,7 @@ class TestShifts:
     def test_shift_against_quadrature(self, rng):
         damped = TimeDomainFunction(
             lambda t: quat_exp(Quaternion(-3, 1, 0, 0) * t),
-            exponential_function(Quaternion(-3, 1, 0, 0)).growth, (), ONE)
+            exponential_function(Quaternion(-3, 1, 0, 0)).growth)
         lhs = laplace_left(damped)
         rhs = shift_real(exp_transform_closed_form(I, Side.LEFT), 3.0)
         for s in transform_probes(rng, 5, re_lo=0.3):
@@ -341,7 +342,7 @@ class TestIntegralRule:
         f = exponential_function(I)
         running = TimeDomainFunction(
             lambda t: (quat_exp(I * t) - ONE) * (-1) * I,
-            constant_function(2 * ONE).growth, (), Quaternion())
+            constant_function(2 * ONE).growth)
         lhs = transform_of_integral(laplace_left(f))
         rhs = laplace_left(running)
         for s in transform_probes(rng, 5):
@@ -423,6 +424,12 @@ class TestConvolution:
         with pytest.raises(UsageError):
             convolve(one, one, -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        one = constant_function(ONE)
+        with pytest.raises(UsageError):
+            convolve(one, one, t)
+
     def test_direct_route_built_on_first_use(self):
         # a certificate that holds only past T = 5 is no use to a convolution,
         # but the star product route needs no certificate
@@ -499,14 +506,18 @@ class TestSliceRestriction:
         assert (F(slice_embed(z.real, z.imag, J)) - embed_complex(w, J)).norm() <= 1e-8
 
 
-def _rules(F, G):
-    """The operational rules applied to F, with G as the convolution partner."""
+def _rules(F, G, f0):
+    """The operational rules applied to F, with G as the convolution partner
+    and f0 as f(0+)."""
     return {
         "star_partner": F.fn.star(G.fn),
         "derivative_2": derivative_of_transform(F, 2),
         "heaviside_shift": heaviside_shift(F, 0.5),
         "shift_real": shift_real(F, 0.5),
+        "derivative_rule": transform_of_derivative(F, f0),
         "integral": transform_of_integral(F),
+        "derivative_of_shift": derivative_of_transform(heaviside_shift(F, 0.5), 1),
+        "derivative_of_integral": derivative_of_transform(transform_of_integral(F), 1),
         "reflect": F.fn.reflect(),
     }
 
@@ -523,11 +534,16 @@ class TestErrorPropagation:
         f = exponential_function(b)
         F = laplace_left(f)
         C = exp_transform_closed_form(b, Side.LEFT)
+        # the convolution f o f is a transform like any other, with (f o f)(0+) = 0
+        conv, closed_conv = laplace_of_convolution(f, f), TransformResult(C.fn.star(C.fn))
         pairs = {"left": (F, C),
                  "right": (laplace_right(f), exp_transform_closed_form(b, Side.RIGHT)),
-                 "convolution": (laplace_of_convolution(f, f).via_product, C.fn.star(C.fn))}
-        approx_rules, closed_rules = _rules(F, C), _rules(C, C)
-        pairs.update({name: (approx_rules[name], closed_rules[name]) for name in approx_rules})
+                 "convolution": (conv, closed_conv)}
+        for prefix, approx, closed, f0 in (("", F, C, ONE),
+                                           ("convolution ", conv, closed_conv, Quaternion())):
+            approx_rules, closed_rules = _rules(approx, C, f0), _rules(closed, C, f0)
+            pairs.update({prefix + name: (approx_rules[name], closed_rules[name])
+                          for name in approx_rules})
         for name, (approx, closed) in pairs.items():
             for s in (p + Quaternion.real(b.w) for p in ERROR_PROBES):
                 value, bound = approx.evaluate_with_error(s)
@@ -608,7 +624,7 @@ class TestLifetime:
         gc.disable()  # only reference counting may free what the test drops
         try:
             F = laplace_left(f)
-            results = [F, laplace_right(f), laplace_of_convolution(f, f).via_product,
+            results = [F, laplace_right(f), laplace_of_convolution(f, f),
                        derivative_of_transform(F, 2), heaviside_shift(F, 0.5),
                        shift_real(F, 0.5), transform_of_integral(F), F.fn.reflect(),
                        exp_function()]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from sliceregular.quaternion import (
     K,
     ONE,
     Quaternion,
+    quat_components,
     quat_exp,
     random_quaternion,
     slice_decompose,
@@ -59,6 +61,17 @@ class TestMultiplication:
         assert (((p + q) * r) - (p * r + q * r)).norm() <= 1e-12 * scale
         assert ((r * (p + q)) - (r * p + r * q)).norm() <= 1e-12 * scale
         assert (((c * p) * q) - c * (p * q)).norm() <= 1e-12 * scale
+
+
+class TestComponents:
+    def test_every_real_type_is_a_component(self):
+        assert quat_components([1, 2.5, np.float32(0.5), np.int64(-3)]) == (1.0, 2.5, 0.5, -3.0)
+        assert quat_components(np.array([1.0, 0.0, 0.0, 2.0])) == (1.0, 0.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("entry", [True, np.True_, "1", None])
+    def test_booleans_and_strings_are_not(self, entry):
+        with pytest.raises(UsageError):
+            quat_components([entry, 0, 0, 0])
 
 
 class TestInverse:
