@@ -10,8 +10,10 @@ components together, evaluating the kernel and f once per bisection, on
 both halves' 42 nodes.  It truncates the half-line at a point T* where the
 analytic tail bound K e^{(a - Re s) T*} terms falls below half the
 tolerance abs_tol (with a safety factor of 10), and spends the other half
-on the panels of [0, T*]; when no T* within reach meets the target it
-raises AccuracyError carrying the tail bound.  Each component's error bound
+on panels of [0, T*] that start as [0, 1], [1, 2], [2, 4], ..., [2^k, T*];
+when no T* within reach meets the target it raises AccuracyError carrying
+the tail bound.  Every transform of one time function at one abs_tol
+reads one memo, which dies with the function.  Each component's error bound
 is its own quadrature error plus the tail bound, so the four add up to at
 most 0.7 abs_tol.  abs_tol is the only accuracy setting; the panel budget is
 fixed.
@@ -122,19 +124,32 @@ class _TransformStem(IntrinsicStem):
     __slots__ = ()
 
 
-def _transform_stem(fn: TimeDomainFunction, abs_tol: float, power: int,
-                    memo: dict) -> _TransformStem:
+def _geometric_edges(T: float) -> list[float]:
+    """The panel edges 1, 2, 4, ... below T."""
+    edges = []
+    edge = 1.0
+    while edge < T:
+        edges.append(edge)
+        edge *= 2.0
+    return edges
+
+
+def _transform_stem(fn: TimeDomainFunction, abs_tol: float, power: int) -> _TransformStem:
     """The vector stem of integral(e^{-tz} (-t)^power f(t) dt).
 
     That is the power-th derivative of the transform, so the derivative chain
     just bumps the power.  One quadrature per (power, z) integrates all four
-    components into the transform's only memo (value-identical, so the memo
-    is observably absent); the stem returns its (values, errors) arrays.
-    The closures hold the memo but never a stem, so it is freed with the
-    stems.
+    components into fn's memo for abs_tol, which every transform of fn
+    shares (value-identical, so the memo is observably absent); the stem
+    returns its (values, errors) arrays.  The quadrature starts on the
+    panels [0, 1], [1, 2], [2, 4], ... of [0, T*], split further at fn's
+    breakpoints, so that the first call sees the integrand at every scale
+    up to T*.  The closures hold fn and the memo but never a stem, and the
+    memo holds no reference to fn, so reference counting frees both.
     """
     growth = fn.growth
     breakpoints = fn.breakpoints
+    memo = fn.memos.setdefault(abs_tol, {})
 
     def evaluate(z: complex) -> tuple[np.ndarray, np.ndarray]:
         hit = memo.get((power, z))
@@ -151,7 +166,8 @@ def _transform_stem(fn: TimeDomainFunction, abs_tol: float, power: int,
             return (np.exp(-t * z) * (-t) ** power)[:, None] * fn.evaluator(t)
 
         values, errs = quadrature.integrate_adaptive(
-            integrand, 0.0, T, abs_tol=abs_tol / 2.0, breakpoints=breakpoints,
+            integrand, 0.0, T, abs_tol=abs_tol / 2.0,
+            breakpoints=(*_geometric_edges(T), *breakpoints),
         )
         hit = (values, errs + _tail_bound(T, lam, growth.K, power))
         if len(memo) > _MEMO_LIMIT:
@@ -159,7 +175,7 @@ def _transform_stem(fn: TimeDomainFunction, abs_tol: float, power: int,
         memo[(power, z)] = hit
         return hit
 
-    deriv = lambda: _transform_stem(fn, abs_tol, power + 1, memo)
+    deriv = lambda: _transform_stem(fn, abs_tol, power + 1)
     return _TransformStem._with_error(evaluate, half_plane(growth.a), deriv, f"L[f] power {power}")
 
 
@@ -193,7 +209,7 @@ class TransformResult:
 
 def _transform(fn: TimeDomainFunction, side: Side, abs_tol: float) -> TransformResult:
     _check_tol(abs_tol)
-    stem = _transform_stem(fn, abs_tol, 0, {})
+    stem = _transform_stem(fn, abs_tol, 0)
     return TransformResult(SliceRegularFunction(side, stem, half_plane(fn.growth.a)))
 
 

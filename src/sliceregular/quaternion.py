@@ -166,10 +166,15 @@ UNITS = (ONE, I, J, K)
 def real_number(value, what: str) -> float:
     """An int, a float or a numpy real as a float; anything else is a UsageError.
 
-    float() would also take JSON booleans and numeric strings; they are not numbers here.
+    float() would also take JSON booleans and numeric strings; they are not
+    numbers here, and neither is an integer past the float range.
     """
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise UsageError(f"{what} must lie within the float range, "
+                             f"got an integer of {value.bit_length()} bits") from None
     raise UsageError(f"{what} must be a number, got {value!r}")
 
 

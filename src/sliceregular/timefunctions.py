@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AccuracyError, UsageError
-from .quaternion import CONJUGATE_SIGNS, Quaternion, quat_from_list, quat_mul_rows
+from .quaternion import CONJUGATE_SIGNS, Quaternion, quat_from_list, quat_mul_rows, real_number
 
 __all__ = [
     "GrowthBound",
@@ -80,10 +80,12 @@ class TimeDomainFunction:
     """Piecewise continuous map t >= 0 -> H with exponential-order metadata.
 
     The constructor takes a scalar callable t -> Quaternion; `from_array`
-    takes the array evaluator itself.
+    takes the array evaluator itself.  `memos` maps an abs_tol to the memo
+    that every Laplace transform of the function at that tolerance fills
+    and reads, so it lives exactly as long as the function.
     """
 
-    __slots__ = ("evaluator", "growth", "breakpoints")
+    __slots__ = ("evaluator", "growth", "breakpoints", "memos")
 
     def __init__(self, evaluator: Callable[[float], Quaternion], growth: GrowthBound,
                  breakpoints: Sequence[float] = ()):
@@ -102,6 +104,7 @@ class TimeDomainFunction:
         self.evaluator = evaluator
         self.growth = growth
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
+        self.memos: dict[float, dict] = {}
 
     def __call__(self, t: float) -> Quaternion:
         return Quaternion(*self.evaluator(np.array([float(t)]))[0].tolist())
@@ -247,7 +250,7 @@ def time_function_from_json(spec: dict) -> TimeDomainFunction:
             fn = polynomial_function([quat_from_list(c) for c in spec["coeffs"]])
         elif kind == "heaviside_shift":
             fn = heaviside_shifted(time_function_from_json(spec["inner"]),
-                                   float(spec["shift"]))
+                                   real_number(spec["shift"], "a heaviside shift"))
         elif kind == "sum":
             terms = [time_function_from_json(t) for t in spec["terms"]]
             if not terms:
@@ -274,12 +277,15 @@ def time_function_from_json(spec: dict) -> TimeDomainFunction:
     if "exp_order" in spec:
         eo = spec["exp_order"]
         try:
-            growth = GrowthBound(float(eo["a"]), float(eo["K"]), float(eo.get("T", 0.0)))
+            growth = GrowthBound(real_number(eo["a"], "exp_order a"),
+                                 real_number(eo["K"], "exp_order K"),
+                                 real_number(eo.get("T", 0.0), "exp_order T"))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed exp_order: {exc}") from exc
     breaks = spec.get("breakpoints", fn.breakpoints)
-    if not isinstance(breaks, (list, tuple)) or not all(
-            isinstance(b, (int, float)) and not isinstance(b, bool) and 0 <= b < math.inf
-            for b in breaks):
+    if not isinstance(breaks, (list, tuple)):
+        raise UsageError(f"breakpoints must be a list of finite numbers >= 0, got {breaks!r}")
+    breaks = [real_number(b, "a breakpoint") for b in breaks]
+    if not all(0 <= b < math.inf for b in breaks):
         raise UsageError(f"breakpoints must be a list of finite numbers >= 0, got {breaks!r}")
     return TimeDomainFunction.from_array(fn.evaluator, growth, breaks)

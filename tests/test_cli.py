@@ -115,6 +115,17 @@ class TestTransform:
         # 1 / (s - i) at s = 1 + 0.5i
         assert (quat_from_list(rec["value"]) - Quaternion(0.8, 0.4, 0, 0)).norm() <= rec["est_error"]
 
+    def test_declared_window_far_past_the_decay(self, runner):
+        spec = json.dumps({"kind": "exp", "b": [0, 1, 0, 0],
+                           "exp_order": {"a": 0, "K": 1, "T": 1e6}})
+        result = runner.invoke(cli, ["transform", "--input", spec,
+                                     "--probes", json.dumps({"points": [[1, 0.5, 0, 0]]})])
+        assert result.exit_code == 0, result.output
+        rec = json.loads(result.output)["records"][0]
+        # 1 / (s - i) at s = 1 + 0.5i
+        assert 0.0 < rec["est_error"] <= 1e-10
+        assert (quat_from_list(rec["value"]) - Quaternion(0.8, 0.4, 0, 0)).norm() <= rec["est_error"]
+
     @pytest.mark.parametrize("spec", [
         {"kind": "exp", "b": [0, 1, 0, 0], "breakpoints": ["a"]},
         {"kind": "exp", "b": [0, 1, 0, 0], "breakpoints": 5},
@@ -163,6 +174,27 @@ class TestTransform:
         ("table", {"function": "cauchy_kernel", "s": [1, 0, True, 0]}),
     ], ids=["eval-bool-and-string", "eval-bool", "transform-string", "table-bool"])
     def test_booleans_and_strings_are_not_components(self, runner, command, spec):
+        result = runner.invoke(cli, [command, "--input", json.dumps(spec), "--probes", PROBES_3])
+        assert result.exit_code == 2, result.output
+
+    # every JSON number of a spec is a float: no boolean, numeric string or
+    # integer past the float range
+    @pytest.mark.parametrize("command, spec", [
+        ("transform", {"kind": "heaviside_shift", "shift": True,
+                       "inner": {"kind": "exp", "b": [0, 1, 0, 0]}}),
+        ("transform", {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": "0", "K": 1}}),
+        ("transform", {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": 0, "K": True}}),
+        ("transform", {"kind": "exp", "b": [0, 1, 0, 0],
+                       "exp_order": {"a": 0, "K": 1, "T": 10**400}}),
+        ("transform", {"kind": "exp", "b": [0, 1, 0, 0], "breakpoints": [10**400]}),
+        ("eval", {"side": "left", "coeffs": [[10**400, 0, 0, 0]]}),
+        # a JSON NaN or Infinity is a float, which the range checks reject
+        ("transform", {"kind": "heaviside_shift", "shift": float("inf"),
+                       "inner": {"kind": "exp", "b": [0, 1, 0, 0]}}),
+        ("transform", {"kind": "exp", "b": [0, 1, 0, 0], "exp_order": {"a": float("nan"), "K": 1}}),
+    ], ids=["shift-bool", "exp-order-string", "exp-order-bool", "exp-order-huge-int",
+            "breakpoint-huge-int", "eval-huge-int", "shift-infinity", "exp-order-nan"])
+    def test_every_json_number_is_a_float(self, runner, command, spec):
         result = runner.invoke(cli, [command, "--input", json.dumps(spec), "--probes", PROBES_3])
         assert result.exit_code == 2, result.output
 

@@ -1,6 +1,7 @@
 import gc
 import math
 
+import numpy as np
 import pytest
 
 from sliceregular import quadrature
@@ -605,15 +606,44 @@ class TestOneQuadraturePerPoint:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, "integrate_adaptive", counted)
-        F = laplace_left(exponential_function(J))
+        f = exponential_function(J)
+        F = laplace_left(f)
         s = Quaternion(1, 2, 0, 0)
         per_result = []
+        # every transform of f reads one memo per abs_tol, whatever its side
         for result in (F, F, derivative_of_transform(F, 1), derivative_of_transform(F, 2),
-                       F.fn.star(F.fn)):
+                       F.fn.star(F.fn), laplace_right(f), laplace_left(f),
+                       laplace_of_convolution(f, f), laplace_left(f, abs_tol=1e-8)):
             before = len(calls)
             result.evaluate(s)
             per_result.append(len(calls) - before)
-        assert per_result == [1, 0, 1, 1, 0]
+        assert per_result == [1, 0, 1, 1, 0, 0, 0, 0, 1]
+
+
+class TestGeometricPanels:
+    def test_first_call_covers_every_octave_below_the_truncation_point(self, monkeypatch):
+        first = []
+        integrate = quadrature.integrate_adaptive
+
+        def recorded(fn, a, b, **kwargs):
+            def integrand(t):
+                if not first:
+                    first.append((b, t.copy()))
+                return fn(t)
+            return integrate(integrand, a, b, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_adaptive", recorded)
+        # Re s - a = 0.1
+        laplace_left(exponential_function(J)).evaluate(Quaternion(0.1, 2, 0, 0))
+        T, nodes = first[0]
+        edges = [0.0, 1.0]
+        while 2.0 * edges[-1] < T:
+            edges.append(2.0 * edges[-1])
+        edges.append(T)
+        assert len(edges) > 8
+        lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+        expected = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * quadrature._XGK
+        np.testing.assert_allclose(nodes.reshape(-1, 21), expected, rtol=1e-15, atol=0)
 
 
 class TestLifetime:
@@ -631,6 +661,20 @@ class TestLifetime:
             for result in results:
                 result.evaluate(s)
             del F, results, result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_dropped_function_frees_its_memo_without_cycle_collection(self):
+        gc.collect()
+        gc.disable()
+        try:
+            f = exponential_function(J)
+            F = laplace_left(f)
+            for result in (F, laplace_right(f), derivative_of_transform(F, 1)):
+                result.evaluate(Quaternion(1, 2, 0, 0))
+            assert f.memos
+            del f, F, result
             assert gc.collect() == 0
         finally:
             gc.enable()
