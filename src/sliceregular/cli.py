@@ -166,6 +166,22 @@ def _emit(records: list[dict], fmt: str, out: Optional[str],
         click.echo(text, nl=False)
 
 
+def _emit_probe_records(points: list[Quaternion], key: str, evaluate, fmt: str,
+                        out: Optional[str]) -> None:
+    """One record per probe, {key: probe, **evaluate(probe)}; a DomainError or
+    AccuracyError becomes an error record, and any error record exits 1."""
+    records = []
+    for p in points:
+        try:
+            fields = evaluate(p)
+        except (DomainError, AccuracyError) as exc:
+            fields = {"error": str(exc)}
+        records.append({key: p.to_list(), **fields})
+    _emit(records, fmt, out)
+    if any("error" in r for r in records):
+        sys.exit(1)
+
+
 def _reports_errors(command):
     """Turn UsageError into click's usage error (exit 2) and any other library
     error into a message on stderr and exit 1."""
@@ -238,17 +254,11 @@ def transform(input_, probes, tol, fmt, out):
     result = laplace_left(fn, abs_tol) if side is Side.LEFT else laplace_right(fn, abs_tol)
     points = _parse_probes(probes)
 
-    def record(s: Quaternion) -> dict:
-        try:
-            value, err = result.evaluate_with_error(s)
-            return {"s": s.to_list(), "value": value.to_list(), "est_error": err}
-        except (DomainError, AccuracyError) as exc:
-            return {"s": s.to_list(), "error": str(exc)}
+    def value_and_error(s: Quaternion) -> dict:
+        value, err = result.evaluate_with_error(s)
+        return {"value": value.to_list(), "est_error": err}
 
-    records = [record(s) for s in points]
-    _emit(records, fmt, out)
-    if any("error" in r for r in records):
-        sys.exit(1)
+    _emit_probe_records(points, "s", value_and_error, fmt, out)
 
 
 @cli.command()
@@ -346,18 +356,8 @@ def table(input_, probes, fmt, out):
                 f"unknown function {name!r}; expected one of {', '.join(_TABLE_BUILTINS)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed table spec: {exc}") from exc
-    points = _parse_probes(probes)
-
-    def record(q: Quaternion) -> dict:
-        try:
-            return {"q": q.to_list(), "value": fn.evaluate(q).to_list()}
-        except (DomainError, AccuracyError) as exc:
-            return {"q": q.to_list(), "error": str(exc)}
-
-    records = [record(q) for q in points]
-    _emit(records, fmt, out)
-    if any("error" in r for r in records):
-        sys.exit(1)
+    _emit_probe_records(_parse_probes(probes), "q",
+                        lambda q: {"value": fn.evaluate(q).to_list()}, fmt, out)
 
 
 main = cli

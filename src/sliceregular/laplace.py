@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,13 +44,12 @@ from .stems import (
     IntrinsicStem,
     exp_decay_stem,
     polynomial_stem,
-    rational_stem,
+    slice_inverse_stem,
     stem_div_z,
     stem_mul_z,
     stem_product,
     stem_scale,
     stem_shift,
-    stem_stack,
     stem_sum,
 )
 from .timefunctions import GrowthBound, TimeDomainFunction
@@ -202,15 +201,13 @@ class TransformResult:
     def __call__(self, s) -> Quaternion:
         return self.evaluate(s)
 
-    def _wrap(self, stem: IntrinsicStem, domain: Optional[Region] = None) -> "TransformResult":
-        dom = domain if domain is not None else self.domain
-        return TransformResult(SliceRegularFunction(self.side, stem, dom))
+    def _wrap(self, stem: IntrinsicStem) -> "TransformResult":
+        return TransformResult(SliceRegularFunction(self.side, stem))
 
 
 def _transform(fn: TimeDomainFunction, side: Side, abs_tol: float) -> TransformResult:
     _check_tol(abs_tol)
-    stem = _transform_stem(fn, abs_tol, 0)
-    return TransformResult(SliceRegularFunction(side, stem, half_plane(fn.growth.a)))
+    return TransformResult(SliceRegularFunction(side, _transform_stem(fn, abs_tol, 0)))
 
 
 def laplace_left(fn: TimeDomainFunction, abs_tol: float = DEFAULT_ABS_TOL) -> TransformResult:
@@ -236,10 +233,7 @@ def exp_transform_closed_form(b: Quaternion, side: Side) -> TransformResult:
     share the same stem; only the assembly side differs.
     """
     b = b if isinstance(b, Quaternion) else Quaternion.real(b)
-    dom = half_plane(b.w)
-    den = [b.norm_sq(), -2.0 * b.w, 1.0]
-    stem = stem_stack([rational_stem(num, den, dom) for num in ([-b.w, 1.0], [b.x], [b.y], [b.z])])
-    return TransformResult(SliceRegularFunction(side, stem, dom))
+    return TransformResult(SliceRegularFunction(side, slice_inverse_stem(b, half_plane(b.w))))
 
 
 def shift_real(F: TransformResult, a_shift: float) -> TransformResult:
@@ -249,8 +243,7 @@ def shift_real(F: TransformResult, a_shift: float) -> TransformResult:
         raise UsageError(f"real shift must be finite, got {a_shift!r}")
     if a_shift == 0.0:
         return F
-    dom = half_plane(F.domain.bounds[0] - a_shift)
-    return F._wrap(stem_shift(F.fn.stem, a_shift), dom)
+    return F._wrap(stem_shift(F.fn.stem, a_shift))
 
 
 def heaviside_shift(F: TransformResult, a_shift: float) -> TransformResult:
@@ -306,8 +299,7 @@ def derivative_of_transform(F: TransformResult, n: int) -> TransformResult:
 
 def transform_of_integral(F: TransformResult) -> TransformResult:
     """Transform of the running integral of f: s^{-1} F(s) on Re(s) > max(a, 0)."""
-    dom = half_plane(max(F.domain.bounds[0], 0.0))
-    return F._wrap(stem_div_z(F.fn.stem), dom)
+    return F._wrap(stem_div_z(F.fn.stem))
 
 
 # -- convolution ------------------------------------------------------------------

@@ -126,16 +126,17 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *,
         probe = np.asarray(fn(np.array([a])))[0]
         return np.zeros_like(probe), np.zeros(probe.shape)
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    heap: list[tuple[float, float, int, float, np.ndarray, np.ndarray]] = []
+    # live panels have distinct lo, so (-err, lo) orders the heap
+    heap: list[tuple[float, float, float, np.ndarray, np.ndarray]] = []
     total_err = 0.0
     total_val: np.ndarray | None = None
     vals, errss = _panels(fn, edges[:-1], edges[1:])
-    for counter, (lo, hi, val, errs) in enumerate(zip(edges[:-1], edges[1:], vals, errss)):
+    for lo, hi, val, errs in zip(edges[:-1], edges[1:], vals, errss):
         err = float(errs.sum())
         total_val = val if total_val is None else total_val + val
         total_err += err
-        heapq.heappush(heap, (-err, lo, counter, hi, val, errs))
-    counter = n_panels = len(edges) - 1
+        heapq.heappush(heap, (-err, lo, hi, val, errs))
+    n_panels = len(edges) - 1
     min_width = 1e-12 * (b - a + 1.0)
     frozen_err = 0.0
     frozen = []
@@ -143,7 +144,7 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *,
         if n_panels >= max_panels:
             raise AccuracyError("quadrature subdivision budget exhausted",
                                 achieved=total_err + frozen_err)
-        neg_err, lo, _, hi, val, errs = heapq.heappop(heap)
+        neg_err, lo, hi, val, errs = heapq.heappop(heap)
         err = -neg_err
         if hi - lo < min_width:
             # cannot refine further; count its error as irreducible
@@ -156,10 +157,8 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *,
         lerr, rerr = float(lerrs.sum()), float(rerrs.sum())
         total_val = total_val - val + lval + rval
         total_err = total_err - err + lerr + rerr
-        heapq.heappush(heap, (-lerr, lo, counter, mid, lval, lerrs))
-        counter += 1
-        heapq.heappush(heap, (-rerr, mid, counter, hi, rval, rerrs))
-        counter += 1
+        heapq.heappush(heap, (-lerr, lo, mid, lval, lerrs))
+        heapq.heappush(heap, (-rerr, mid, hi, rval, rerrs))
         n_panels += 1
     if total_err + frozen_err > abs_tol:
         raise AccuracyError("quadrature panels too narrow to bisect further",

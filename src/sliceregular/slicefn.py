@@ -5,7 +5,9 @@ h = (h_0, h_1, h_2, h_3) whose components pair with the basis (1, i, j, k):
 at q = x + I*y the value is sum_m (u_m + I v_m) * J_m for the left side and
 sum_m J_m * (u_m + I v_m) for the right side, where h_m(x + iy) = u_m + i v_m.
 Intrinsic functions (h_0 alone) commute with everything, so the star product
-is the Hamilton product of the two stems' components (`stem_star`).
+is the Hamilton product of the two stems' components (`stem_star`).  A
+function is its side and its stem: its domain is the stem's, which the stem
+combinators work out, so no rule here builds a domain of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .stems import (
     exp_stem,
     numeric_derivative_stem,
     polynomial_stem,
-    rational_stem,
+    slice_inverse_stem,
     stem_scale,
     stem_stack,
     stem_star,
@@ -55,12 +57,15 @@ _SYMMETRY_TOL = 1e-9
 class SliceRegularFunction:
     """One vector stem tensored with the quaternion basis."""
 
-    __slots__ = ("side", "stem", "domain")
+    __slots__ = ("side", "stem")
 
-    def __init__(self, side: Side, stem: IntrinsicStem, domain: Region):
+    def __init__(self, side: Side, stem: IntrinsicStem):
         self.side = side
         self.stem = stem
-        self.domain = domain
+
+    @property
+    def domain(self) -> Region:
+        return self.stem.domain
 
     # -- evaluation ----------------------------------------------------------
 
@@ -76,8 +81,9 @@ class SliceRegularFunction:
     def _evaluate(self, q, real_axis_unit: Quaternion) -> tuple[Quaternion, float]:
         q = q if isinstance(q, Quaternion) else Quaternion.real(q)
         sc = slice_decompose(q, real_axis_unit)
-        if not self.domain.contains(sc.x, sc.y):
-            raise DomainError(f"{q} lies outside the {self.domain.kind} domain {self.domain.bounds}")
+        domain = self.stem.domain
+        if not domain.contains(sc.x, sc.y):
+            raise DomainError(f"{q} lies outside the {domain.kind} domain {domain.bounds}")
         return self._assemble(complex(sc.x, sc.y), sc.unit)
 
     def _assemble(self, z: complex, unit: Quaternion) -> tuple[Quaternion, float]:
@@ -102,17 +108,16 @@ class SliceRegularFunction:
         """
         if self.side is not other.side:
             raise UsageError("cannot star-multiply functions of different sides")
-        domain = self.domain.intersect(other.domain)
-        return SliceRegularFunction(self.side, stem_star(self.stem, other.stem), domain)
+        return SliceRegularFunction(self.side, stem_star(self.stem, other.stem))
 
     def reflect(self) -> "SliceRegularFunction":
         """Reflection involution q -> conj(f(conj q)): conjugate the basis, flip the side."""
         conjugated = stem_scale(CONJUGATE_SIGNS, self.stem)
-        return SliceRegularFunction(self.side.flipped(), conjugated, self.domain)
+        return SliceRegularFunction(self.side.flipped(), conjugated)
 
     def regular_conjugate(self) -> "SliceRegularFunction":
         """Conjugate the basis pairing without changing the side."""
-        return SliceRegularFunction(self.side, stem_scale(CONJUGATE_SIGNS, self.stem), self.domain)
+        return SliceRegularFunction(self.side, stem_scale(CONJUGATE_SIGNS, self.stem))
 
     def slice_derivative(self, numeric_step: Optional[float] = None) -> "SliceRegularFunction":
         """The stem's derivative, component by component.
@@ -124,7 +129,7 @@ class SliceRegularFunction:
         """
         stem = (self.stem.derivative_stem() if numeric_step is None
                 else numeric_derivative_stem(self.stem, numeric_step))
-        return SliceRegularFunction(self.side, stem, self.domain)
+        return SliceRegularFunction(self.side, stem)
 
 
 def _symmetry_probes(domain: Region) -> list[complex]:
@@ -153,20 +158,19 @@ def extend_intrinsic(stem: IntrinsicStem, side: Side = Side.LEFT) -> SliceRegula
             f"stem violates f(conj z) = conj(f(z)) by {defect:.3e} (tol {_SYMMETRY_TOL:.1e})"
         )
     zero = constant_stem(0.0, stem.domain)
-    return SliceRegularFunction(side, stem_stack([stem, zero, zero, zero]), stem.domain)
+    return SliceRegularFunction(side, stem_stack([stem, zero, zero, zero]))
 
 
 def assemble(stems: Sequence[IntrinsicStem], side: Side) -> SliceRegularFunction:
     """Pair four scalar intrinsic stems with the basis (1, i, j, k) on a common domain."""
     if len(stems) != 4:
         raise UsageError("assemble needs exactly four stems")
-    stem = stem_stack(stems)
-    return SliceRegularFunction(side, stem, stem.domain)
+    return SliceRegularFunction(side, stem_stack(stems))
 
 
 def from_series(f: RegularSeries, domain: Region = ENTIRE) -> SliceRegularFunction:
     """Evaluable tensor form of a polynomial series via its intrinsic components."""
-    return SliceRegularFunction(f.side, polynomial_stem(f.rows, domain), domain)
+    return SliceRegularFunction(f.side, polynomial_stem(f.rows, domain))
 
 
 def exp_function() -> SliceRegularFunction:
@@ -180,11 +184,8 @@ def cauchy_kernel(s: Quaternion, domain: Optional[Region] = None) -> SliceRegula
     Left regular in q away from the pole sphere |q - Re(s)| = |Im(s)| on the
     axis of s; the default domain is the annulus outside that sphere.
     """
-    s0 = s.w
-    den = [s.norm_sq(), -2.0 * s0, 1.0]
     dom = domain if domain is not None else annulus(s.norm(), math.inf)
-    stem = stem_stack([rational_stem(n, den, dom) for n in ([s0, -1.0], [-s.x], [-s.y], [-s.z])])
-    return SliceRegularFunction(Side.LEFT, stem, dom)
+    return SliceRegularFunction(Side.LEFT, slice_inverse_stem(s, dom, sign=-1.0))
 
 
 def cauchy_kernel_right(q: Quaternion, domain: Optional[Region] = None) -> SliceRegularFunction:
@@ -193,9 +194,5 @@ def cauchy_kernel_right(q: Quaternion, domain: Optional[Region] = None) -> Slice
     Componentwise this is the slice inverse of (s - q): the stems are the
     quaternion-basis components of ((z - q0) + Im q) / ((z - q0)^2 + |Im q|^2).
     """
-    q0 = q.w
-    imn2 = q.x * q.x + q.y * q.y + q.z * q.z
-    den = [q0 * q0 + imn2, -2.0 * q0, 1.0]
     dom = domain if domain is not None else annulus(q.norm(), math.inf)
-    stem = stem_stack([rational_stem(n, den, dom) for n in ([-q0, 1.0], [q.x], [q.y], [q.z])])
-    return SliceRegularFunction(Side.RIGHT, stem, dom)
+    return SliceRegularFunction(Side.RIGHT, slice_inverse_stem(q, dom))

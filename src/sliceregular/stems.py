@@ -7,11 +7,13 @@ and a float error bound; a vector stem returns the (4,) complex array of the
 components of a slice function against the basis (1, i, j, k), with a float
 or (4,) error bound.  The combinators broadcast, so each is one definition
 for both; `stem_stack` builds a vector stem from four scalar ones, and
-`stem_star` multiplies two vector stems as quaternions.  Stems are callables
-plus an optional analytic derivative; there is no symbolic layer, because
-transform stems are defined by quadrature and are only evaluable.
-Differentiation is analytic only: a missing derivative is a CapabilityError,
-and the numeric difference quotient is a separate, explicit stem.
+`stem_star` multiplies two vector stems as quaternions.  A stem carries its
+domain and each combinator works out its result's, so a slice function's
+domain is its stem's.  Stems are callables plus an optional analytic
+derivative; there is no symbolic layer, because transform stems are defined
+by quadrature and are only evaluable.  Differentiation is analytic only: a
+missing derivative is a CapabilityError, and the numeric difference quotient
+is a separate, explicit stem.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import AccuracyError, CapabilityError, PoleError, UsageError, worst_case
-from .regions import Region, disk
+from .regions import HALF_PLANE, Region, disk, half_plane
 
 __all__ = [
     "IntrinsicStem",
@@ -31,6 +33,7 @@ __all__ = [
     "identity_stem",
     "polynomial_stem",
     "rational_stem",
+    "slice_inverse_stem",
     "exp_stem",
     "exp_decay_stem",
     "stem_sum",
@@ -220,6 +223,18 @@ def _poly_sub(a: Sequence[float], b: Sequence[float]) -> list[float]:
     return [x - y for x, y in zip(a, b)]
 
 
+def slice_inverse_stem(b, domain: Region, sign: float = 1.0) -> IntrinsicStem:
+    """The vector stem sign (z^2 - 2 b_0 z + |b|^2)^(-1) (z - conj b) of quaternion b.
+
+    With sign 1 it is the transform of t -> e^{bt} and the right Cauchy
+    kernel; with sign -1 the left Cauchy kernel.  The sign negates the
+    numerator coefficients, which is exact.
+    """
+    den = [b.norm_sq(), -2.0 * b.w, 1.0]
+    nums = ([-sign * b.w, sign], [sign * b.x], [sign * b.y], [sign * b.z])
+    return stem_stack([rational_stem(num, den, domain) for num in nums])
+
+
 def _exp(z: complex) -> complex:
     """cmath.exp; a value past the float range raises AccuracyError, not OverflowError."""
     try:
@@ -292,25 +307,17 @@ def stem_scale(factor, a: IntrinsicStem) -> IntrinsicStem:
 
 
 def stem_shift(a: IntrinsicStem, offset: float) -> IntrinsicStem:
-    """Precompose with z -> z + offset (real offset keeps the stem intrinsic)."""
-    off = float(offset)
-    dom = a.domain
-    if dom.kind == "half-plane":
-        dom = Region(dom.kind, (dom.bounds[0] - off,))
-    elif dom.kind == "disk" and math.isfinite(dom.bounds[0]):
-        # conservative: |z + off| < r is guaranteed on |z| < r - |off|
-        r = dom.bounds[0] - abs(off)
-        if r <= 0:
-            raise UsageError(f"shift by {off:g} empties the disk domain")
-        dom = Region(dom.kind, (r,))
-    elif dom.kind == "annulus":
-        lo, hi = dom.bounds[0] + abs(off), dom.bounds[1] - abs(off)
-        if lo >= hi:
-            raise UsageError(f"shift by {off:g} empties the annulus domain")
-        dom = Region(dom.kind, (lo, hi))
+    """Precompose with z -> z + offset (real offset keeps the stem intrinsic).
 
+    The operand's domain must be a half-plane Re z > c, which becomes
+    Re z > c - offset; any other domain is a UsageError.
+    """
+    off = float(offset)
+    if a.domain.kind != HALF_PLANE:
+        raise UsageError(f"a shift needs a half-plane domain, got a {a.domain.kind}")
     deriv = lambda: stem_shift(a.derivative_stem(), off)
-    return IntrinsicStem._with_error(lambda z: a.eval_with_error(z + off), dom, deriv,
+    return IntrinsicStem._with_error(lambda z: a.eval_with_error(z + off),
+                                     half_plane(a.domain.bounds[0] - off), deriv,
                                      f"{a.name}(z+{off:g})")
 
 
@@ -324,6 +331,8 @@ def stem_mul_z(a: IntrinsicStem) -> IntrinsicStem:
 
 
 def stem_div_z(a: IntrinsicStem) -> IntrinsicStem:
+    """Divide by z; a half-plane domain reaching left of 0 becomes Re z > 0."""
+
     def ev(z):
         if abs(z) <= _POLE_TOL:
             raise PoleError("division by z at the origin")
@@ -335,7 +344,11 @@ def stem_div_z(a: IntrinsicStem) -> IntrinsicStem:
         stem_div_z(a.derivative_stem()),
         stem_scale(-1.0, stem_div_z(stem_div_z(a))),
     )
-    return IntrinsicStem._with_error(ev, a.domain, deriv, f"({a.name})/z")
+    dom = a.domain
+    if dom.kind == HALF_PLANE and dom.bounds[0] < 0.0:
+        # the largest half-plane clear of the pole at 0
+        dom = half_plane(0.0)
+    return IntrinsicStem._with_error(ev, dom, deriv, f"({a.name})/z")
 
 
 def stem_stack(parts: Sequence[IntrinsicStem]) -> IntrinsicStem:

@@ -1,3 +1,4 @@
+import cmath
 import gc
 import math
 
@@ -33,9 +34,10 @@ from sliceregular.quaternion import (
     random_unit_imaginary,
     slice_embed,
 )
-from sliceregular.regions import half_plane
+from sliceregular.regions import annulus, disk, half_plane
 from sliceregular.series import Side
 from sliceregular.slicefn import exp_function
+from sliceregular.stems import exp_stem, stem_shift
 from sliceregular.timefunctions import (
     GrowthBound,
     TimeDomainFunction,
@@ -225,6 +227,11 @@ class TestShifts:
         assert_qclose(G(Quaternion.real(0.0)),
                       (Quaternion.real(3.0) - ONE).inverse(), 1e-8)
 
+    @pytest.mark.parametrize("domain", [disk(2.0), annulus(1.0, 3.0)])
+    def test_shift_needs_a_half_plane(self, domain):
+        with pytest.raises(UsageError, match="half-plane"):
+            stem_shift(exp_stem(domain), 0.5)
+
     def test_heaviside_exp_times_one_over_s(self):
         F = heaviside_shift(laplace_left(constant_function(ONE)), 1.0)
         assert_qclose(F(Quaternion.real(1.0)), Quaternion.real(math.exp(-1.0)), 1e-9)
@@ -360,6 +367,31 @@ class TestIntegralRule:
         assert F.domain.bounds[0] == 0.0
         G = transform_of_integral(F)
         assert G.domain.bounds[0] == 0.0
+        # a shifted transform reaches left of 0, and its integral rule stops there
+        shifted = shift_real(F, 1.0)
+        assert shifted.domain == half_plane(-1.0)
+        H = transform_of_integral(shifted)
+        assert H.domain == half_plane(0.0)
+        with pytest.raises(DomainError):
+            H(Quaternion(-0.5, 0.3, 0, 0))
+        # on the slice of i everything commutes: H(s) = 1/(s (s + 1 - b))
+        b = complex(-2.0, 1.0)
+        H_of = lambda s: 1.0 / (s * (s + 1.0 - b))
+        rules = [
+            (derivative_of_transform(H, 1), half_plane(0.0),
+             lambda s: (2.0 * s + 1.0 - b) * H_of(s) ** 2),
+            (heaviside_shift(H, 0.5), half_plane(0.0), lambda s: cmath.exp(-0.5 * s) * H_of(s)),
+            (shift_real(H, 1.0), half_plane(-1.0), lambda s: H_of(s + 1.0)),
+        ]
+        for rule, domain, closed in rules:
+            assert rule.domain == domain
+            for s in (complex(0.7, 0.4), complex(1.5, 2.0), complex(-0.5, 0.3)):
+                if domain.contains(s.real, s.imag):
+                    assert_qclose(rule(Quaternion(s.real, s.imag, 0, 0)),
+                                  embed_complex(closed(s), I), 1e-8)
+                else:
+                    with pytest.raises(DomainError):
+                        rule(Quaternion(s.real, s.imag, 0, 0))
 
 
 def conv_exp_i_exp_j_closed(t: float) -> Quaternion:

@@ -46,6 +46,21 @@ class TestIntersection:
         assert half_plane(-2.0).intersect(disk(1.0)) == disk(1.0)
         assert half_plane(-0.5).intersect(disk(1.0)) == disk(0.5)
 
+    def test_disk_and_annulus(self):
+        assert disk(3.0).intersect(annulus(1.0, 5.0)) == annulus(1.0, 3.0)
+        assert annulus(1.0).intersect(disk(3.0)) == annulus(1.0, 3.0)
+        with pytest.raises(UsageError, match="do not overlap"):
+            disk(0.5).intersect(annulus(1.0, 5.0))
+
+    def test_half_plane_and_annulus(self):
+        # only the part of the annulus inside the disk |q| < -wall is certainly right of the wall
+        assert half_plane(-2.0).intersect(annulus(0.5, 5.0)) == annulus(0.5, 2.0)
+        assert annulus(0.5).intersect(half_plane(-2.0)) == annulus(0.5, 2.0)
+        with pytest.raises(UsageError, match="no conservative common sub-region"):
+            half_plane(0.5).intersect(annulus(1.0, 3.0))
+        with pytest.raises(UsageError, match="do not overlap conservatively"):
+            half_plane(-0.5).intersect(annulus(1.0, 3.0))
+
     def test_incompatible_mixed(self):
         with pytest.raises(UsageError):
             half_plane(0.5).intersect(disk(1.0))

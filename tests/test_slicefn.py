@@ -22,7 +22,7 @@ from sliceregular.quaternion import (
     slice_decompose,
     slice_embed,
 )
-from sliceregular.laplace import ConvolutionTransform, DualityReport
+from sliceregular.laplace import ConvolutionTransform, DualityReport, exp_transform_closed_form
 from sliceregular.regions import annulus, disk, half_plane
 from sliceregular.series import RegularSeries, Side
 from sliceregular.slicefn import (
@@ -41,8 +41,10 @@ from sliceregular.stems import (
     exp_stem,
     identity_stem,
     polynomial_stem,
+    rational_stem,
     stem_product,
     stem_scale,
+    stem_stack,
     stem_star,
     stem_sum,
 )
@@ -100,6 +102,19 @@ def reference_star(a, b):
 signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False))
 component_values = st.lists(st.builds(complex, signed, signed), min_size=4, max_size=4)
 component_errors = st.lists(st.floats(0.0, 1e-3), min_size=4, max_size=4)
+quaternions = st.builds(Quaternion, signed, signed, signed, signed)
+
+
+def four_rational_stems(nums, den, domain):
+    return stem_stack([rational_stem(num, den, domain) for num in nums])
+
+
+def outcome(fn, q):
+    """fn(q), or the type of the DomainError it raises there."""
+    try:
+        return fn(q)
+    except DomainError as exc:
+        return type(exc)
 
 
 class TestExtend:
@@ -391,6 +406,42 @@ class TestCauchyKernel:
         F = cauchy_kernel(I, domain=annulus(0.0, math.inf))
         with pytest.raises(PoleError):
             F(J)  # on the pole sphere of s = i
+
+    @given(quaternions, quaternions)
+    @settings(max_examples=200, deadline=None)
+    def test_slice_inverse_builders_match_four_rational_stems(self, b, q):
+        # each builder against its four rational stems, written out here
+        def bits(value):
+            return value if isinstance(value, type) else np.array(value.components()).tobytes()
+
+        den = [b.norm_sq(), -2.0 * b.w, 1.0]
+        exp_nums = ([-b.w, 1.0], [b.x], [b.y], [b.z])
+        exp_stem_ = four_rational_stems(exp_nums, den, half_plane(b.w))
+        kernel_stem = four_rational_stems(([b.w, -1.0], [-b.x], [-b.y], [-b.z]), den,
+                                          annulus(b.norm(), math.inf))
+        # off the pole sphere, |far - b| |far - conj b| >= 4 |b|^2
+        far = Quaternion(q.w + math.copysign(3.0 * b.norm(), q.w), q.x, q.y, q.z)
+        for side in Side:
+            got = exp_transform_closed_form(b, side).fn
+            want = SliceRegularFunction(side, exp_stem_)
+            assert got.side is side and got.domain == want.domain
+            for p in (q, far):
+                assert bits(outcome(got, p)) == bits(outcome(want, p))
+        got, want = cauchy_kernel(b), SliceRegularFunction(Side.LEFT, kernel_stem)
+        assert got.side is Side.LEFT and got.domain == want.domain
+        for p in (q, far):
+            assert bits(outcome(got, p)) == bits(outcome(want, p))
+        # written with |b|^2 as b0^2 + |Im b|^2, an order norm_sq may round differently
+        imn2 = b.x * b.x + b.y * b.y + b.z * b.z
+        right_stem = four_rational_stems(exp_nums, [b.w * b.w + imn2, -2.0 * b.w, 1.0],
+                                         annulus(b.norm(), math.inf))
+        got = cauchy_kernel_right(b)
+        assert got.side is Side.RIGHT and got.domain == right_stem.domain
+        value, want = outcome(got, far), outcome(SliceRegularFunction(Side.RIGHT, right_stem), far)
+        if isinstance(want, type):
+            assert value is want
+        else:
+            assert (value - want).norm() <= 1e-15 * want.norm()
 
 
 class TestVerifiers:
