@@ -13,8 +13,8 @@ Probe files are JSON: {"points": [[w,x,y,z], ...]} or
 {"grid": {"re": [start, stop, n], "units": ["i", "j", [0,x,y,z]],
 "im": [start, stop, n]}}; grids expand in canonical order (real part
 ascending, units as declared, imaginary part ascending).  Each command takes
-only the options it reads; --tol must be positive.  Exit codes: 0 ok,
-1 accuracy or property failure, 2 usage error.
+only the options it reads; --tol must be positive and finite.  Exit codes:
+0 ok, 1 accuracy or property failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ def _parse_probes(value: Optional[str]) -> list[Quaternion]:
     data = _load_spec(value, "probes")
     if isinstance(data, list):
         return [quat_from_list(p) for p in data]
+    if not isinstance(data, dict):
+        raise UsageError(f"probes must be a list or an object, got {data!r}")
     if "points" in data:
         return [quat_from_list(p) for p in _listed(data["points"], "points")]
     if "grid" in data:
@@ -208,7 +210,7 @@ _OPTIONS = {
                         default=None, help="accuracy target"),
     "format": click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                            default="json", help="output format"),
-    "seed": click.option("--seed", type=int, default=0,
+    "seed": click.option("--seed", type=click.IntRange(min=0), default=0,
                          help="seed for randomized property suites"),
     "out": click.option("--out", type=click.Path(), default=None,
                         help="output file (default: stdout)"),

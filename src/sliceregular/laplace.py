@@ -85,8 +85,9 @@ _MEMO_LIMIT = 50_000
 
 
 def _check_tol(abs_tol: float) -> None:
-    if abs_tol <= 0:
-        raise UsageError("abs_tol must be positive")
+    # NaN fails every comparison, so it would never stop the adaptive loop
+    if not 0.0 < abs_tol < math.inf:
+        raise UsageError(f"abs_tol must be positive and finite, got {abs_tol!r}")
 
 
 def _tail_bound(T: float, lam: float, K: float, power: int) -> float:
@@ -98,17 +99,18 @@ def _tail_bound(T: float, lam: float, K: float, power: int) -> float:
     return K * math.exp(-lam * T) * total
 
 
-def _truncation_point(growth: GrowthBound, lam: float, power: int, abs_tol: float) -> float:
-    """Where the tail bound first falls below its share of abs_tol, in steps
-    of 1.5x from max(growth.T, 1); AccuracyError with the last tail bound if
-    200 steps miss it.  Breakpoints play no part: the tail bound needs only
-    the certificate, and those past T* lie outside [0, T*]."""
+def _truncation_point(growth: GrowthBound, lam: float, power: int,
+                      abs_tol: float) -> tuple[float, float]:
+    """(T*, its tail bound) where the tail bound first falls below its share of
+    abs_tol, in steps of 1.5x from max(growth.T, 1); AccuracyError with the
+    last tail bound if 200 steps miss it.  Breakpoints play no part: the tail
+    bound needs only the certificate, and those past T* lie outside [0, T*]."""
     target = abs_tol / (2.0 * _TAIL_SAFETY)
     T = max(growth.T, 1.0)
     for _ in range(200):
         tail = _tail_bound(T, lam, growth.K, power)
         if tail <= target:
-            return T
+            return T, tail
         T *= 1.5
     raise AccuracyError(f"the tail bound misses its target {target:.3e} at every "
                         "truncation point tried", achieved=tail)
@@ -159,7 +161,7 @@ def _transform_stem(fn: TimeDomainFunction, abs_tol: float, power: int) -> _Tran
             raise DomainError(
                 f"transform evaluation needs Re(s) > {growth.a:g}, got {z.real:g}"
             )
-        T = _truncation_point(growth, lam, power, abs_tol)
+        T, tail = _truncation_point(growth, lam, power, abs_tol)
 
         def integrand(t: np.ndarray) -> np.ndarray:
             return (np.exp(-t * z) * (-t) ** power)[:, None] * fn.evaluator(t)
@@ -168,7 +170,7 @@ def _transform_stem(fn: TimeDomainFunction, abs_tol: float, power: int) -> _Tran
             integrand, 0.0, T, abs_tol=abs_tol / 2.0,
             breakpoints=(*_geometric_edges(T), *breakpoints),
         )
-        hit = (values, errs + _tail_bound(T, lam, growth.K, power))
+        hit = (values, errs + tail)
         if len(memo) > _MEMO_LIMIT:
             memo.clear()
         memo[(power, z)] = hit

@@ -81,6 +81,8 @@ _WG = np.array([
 _WEIGHTS = np.stack([_WGK, _WGK])
 _WEIGHTS[1, 1::2] -= _WG
 
+#: panels one integration may hold before it raises AccuracyError
+MAX_PANELS = 400
 
 #: an integrand: the (21 p,) Kronrod nodes of p panels, panel after panel,
 #: -> the (21 p, k) values there; a node's value may not depend on the others
@@ -111,8 +113,7 @@ def _panels(fn: Integrand, lo: Sequence[float],
 
 # overflow shows as a non-finite panel, which raises
 @np.errstate(over="ignore", invalid="ignore")
-def integrate_adaptive(fn: Integrand, a: float, b: float, *,
-                       abs_tol: float, max_panels: int = 400,
+def integrate_adaptive(fn: Integrand, a: float, b: float, *, abs_tol: float,
                        breakpoints: Iterable[float] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a vector-valued integrand over [a, b].
 
@@ -141,7 +142,7 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *,
     frozen_err = 0.0
     frozen = []
     while total_err + frozen_err > abs_tol and heap:
-        if n_panels >= max_panels:
+        if n_panels >= MAX_PANELS:
             raise AccuracyError("quadrature subdivision budget exhausted",
                                 achieved=total_err + frozen_err)
         neg_err, lo, hi, val, errs = heapq.heappop(heap)

@@ -9,17 +9,20 @@ or (4,) error bound.  The combinators broadcast, so each is one definition
 for both; `stem_stack` builds a vector stem from four scalar ones, and
 `stem_star` multiplies two vector stems as quaternions.  A stem carries its
 domain and each combinator works out its result's, so a slice function's
-domain is its stem's.  Stems are callables plus an optional analytic
-derivative; there is no symbolic layer, because transform stems are defined
-by quadrature and are only evaluable.  Differentiation is analytic only: a
-missing derivative is a CapabilityError, and the numeric difference quotient
-is a separate, explicit stem.
+domain is its stem's.  Polynomial and rational stems are coefficient rows,
+(n,) for a scalar stem and (n, 4) for a vector one, with one Horner, one
+derivative rule and one real denominator per rational stem.  Stems are
+callables plus an optional analytic derivative; there is no symbolic layer,
+because transform stems are defined by quadrature and are only evaluable.
+Differentiation is analytic only: a missing derivative is a CapabilityError,
+and the numeric difference quotient is a separate, explicit stem.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from operator import itemgetter
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -137,22 +140,22 @@ def symmetry_defect(stem: IntrinsicStem, points: Sequence[complex]) -> float:
 
 
 def constant_stem(value: float, domain: Region = ENTIRE) -> IntrinsicStem:
-    v = float(value)  # intrinsic constants are necessarily real
-    return IntrinsicStem(
-        lambda z: complex(v, 0.0),
-        domain,
-        derivative=lambda: constant_stem(0.0, domain),
-        name=f"const {v:g}",
-    )
+    return polynomial_stem([value], domain)  # intrinsic constants are necessarily real
 
 
 def identity_stem(domain: Region = ENTIRE) -> IntrinsicStem:
-    return IntrinsicStem(
-        lambda z: z,
-        domain,
-        derivative=lambda: constant_stem(1.0, domain),
-        name="z",
-    )
+    return polynomial_stem([0.0, 1.0], domain)
+
+
+def _rows(coeffs) -> np.ndarray:
+    """Coefficient rows as floats, ascending powers first; no rows is the zero row."""
+    cs = np.asarray(coeffs, dtype=float)
+    return cs if len(cs) else np.zeros((1, *cs.shape[1:]))
+
+
+def _columns(cs: np.ndarray) -> tuple[list[list[float]], Callable]:
+    """Each component's coefficients, and how their values pack into a complex or (4,) array."""
+    return cs.reshape(len(cs), -1).T.tolist(), (np.array if cs.ndim > 1 else itemgetter(0))
 
 
 def _poly_eval(coeffs: Sequence[float], z: complex) -> complex:
@@ -162,10 +165,17 @@ def _poly_eval(coeffs: Sequence[float], z: complex) -> complex:
     return acc
 
 
-def _poly_derivative(coeffs: Sequence[float]) -> list[float]:
-    if len(coeffs) <= 1:
-        return [0.0]
-    return [n * c for n, c in enumerate(coeffs) if n > 0]
+def _derivative_rows(cs: np.ndarray) -> np.ndarray:
+    """(cs * n)[1:]: the constant row drops out, so a constant's derivative has no rows."""
+    return (cs * np.arange(float(len(cs))).reshape(-1, *(1,) * (cs.ndim - 1)))[1:]
+
+
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of a * b for rows a and the real row b, summed over ascending powers of a."""
+    out = np.zeros((len(a) + len(b) - 1, *a.shape[1:]))
+    for k in range(len(a)):
+        out[k:k + len(b)] += np.multiply.outer(b, a[k])
+    return out
 
 
 def polynomial_stem(coeffs, domain: Region = ENTIRE) -> IntrinsicStem:
@@ -174,53 +184,34 @@ def polynomial_stem(coeffs, domain: Region = ENTIRE) -> IntrinsicStem:
     Coefficients of shape (n,) give a scalar stem; rows of shape (n, 4) give
     the vector stem whose component m has the coefficients rows[:, m].
     """
-    cs = np.asarray(coeffs, dtype=float)
-    cs = cs if len(cs) else np.zeros((1, *cs.shape[1:]))
-    if cs.ndim == 1:
-        c = cs.tolist()
-        ev = lambda z: (_poly_eval(c, z), 0.0)
-    else:
-        cols = cs.T.tolist()
-        ev = lambda z: (np.array([_poly_eval(c, z) for c in cols]), 0.0)
-    # the constant row drops out; a constant's derivative is the zero row
-    n = np.arange(float(len(cs))).reshape(-1, *(1,) * (cs.ndim - 1))
-    deriv = lambda: polynomial_stem((cs * n)[1:], domain)
+    cs = _rows(coeffs)
+    cols, pack = _columns(cs)
+    ev = lambda z: (pack([_poly_eval(c, z) for c in cols]), 0.0)
+    deriv = lambda: polynomial_stem(_derivative_rows(cs), domain)
     return IntrinsicStem._with_error(ev, domain, deriv, f"poly deg {len(cs) - 1}")
 
 
-def rational_stem(num: Sequence[float], den: Sequence[float], domain: Region) -> IntrinsicStem:
-    """Ratio of real-coefficient polynomials; raises PoleError near zeros of den."""
-    nc = [float(c) for c in num] or [0.0]
-    dc = [float(c) for c in den] or [0.0]
+def rational_stem(num, den: Sequence[float], domain: Region) -> IntrinsicStem:
+    """Coefficient rows num, shaped as for polynomial_stem, over the real row den.
 
-    def ev(z: complex) -> complex:
-        d = _poly_eval(dc, z)
+    The denominator and its pole test (PoleError) run once per point; each
+    component divides by it in plain complex arithmetic."""
+    nc, dc = _rows(num), _rows(den)
+    cols, pack = _columns(nc)
+    d_coeffs = dc.tolist()
+
+    def ev(z: complex):
+        d = _poly_eval(d_coeffs, z)
         if abs(d) <= _POLE_TOL:
             raise PoleError(f"evaluation within {_POLE_TOL:.0e} of a pole sphere at z={z}")
-        return _poly_eval(nc, z) / d
+        return pack([_poly_eval(c, z) / d for c in cols]), 0.0
 
     def make_derivative() -> IntrinsicStem:
-        # (n/d)' = (n'd - nd') / d^2
-        np_, dp = _poly_derivative(nc), _poly_derivative(dc)
-        num2 = _poly_sub(_poly_mul(np_, dc), _poly_mul(nc, dp))
-        return rational_stem(num2, _poly_mul(dc, dc), domain)
+        # (n/d)' = (n'd - nd') / d^2; both products have len(n) + len(d) - 2 rows
+        num2 = _row_product(_derivative_rows(nc), dc) - _row_product(nc, _derivative_rows(dc))
+        return rational_stem(num2, _row_product(dc, dc), domain)
 
-    return IntrinsicStem(ev, domain, derivative=make_derivative, name="rational")
-
-
-def _poly_mul(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    n = max(len(a), len(b))
-    a = list(a) + [0.0] * (n - len(a))
-    b = list(b) + [0.0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    return IntrinsicStem._with_error(ev, domain, make_derivative, "rational")
 
 
 def slice_inverse_stem(b, domain: Region, sign: float = 1.0) -> IntrinsicStem:
@@ -230,9 +221,8 @@ def slice_inverse_stem(b, domain: Region, sign: float = 1.0) -> IntrinsicStem:
     kernel; with sign -1 the left Cauchy kernel.  The sign negates the
     numerator coefficients, which is exact.
     """
-    den = [b.norm_sq(), -2.0 * b.w, 1.0]
-    nums = ([-sign * b.w, sign], [sign * b.x], [sign * b.y], [sign * b.z])
-    return stem_stack([rational_stem(num, den, domain) for num in nums])
+    num = [[-sign * b.w, sign * b.x, sign * b.y, sign * b.z], [sign, 0.0, 0.0, 0.0]]
+    return rational_stem(num, [b.norm_sq(), -2.0 * b.w, 1.0], domain)
 
 
 def _exp(z: complex) -> complex:

@@ -500,6 +500,9 @@ def laplace_suite(seed: int = 0, tol: Optional[float] = None) -> list[PropertyCh
 
 
 def run_suite(name: str, seed: int = 0, tol: Optional[float] = None) -> list[PropertyCheck]:
+    # no check fails against an infinite threshold, and every check fails against NaN
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise UsageError(f"tol must be positive and finite, got {tol!r}")
     if name == "algebra":
         return algebra_suite(seed)
     if name == "regularity":

@@ -158,12 +158,21 @@ class TestTransform:
         {"points": [["2", 0, 0, 0]]},
         {"grid": {"re": ["1", 2, 2], "units": ["i"], "im": [0, 1, 2]}},
         {"grid": {"re": [1, 2, 2], "units": ["i"], "im": [0, True, 2]}},
+        5,
+        None,
+        "grid points",
     ], ids=["points-not-a-list", "point-not-a-list", "point-entry", "grid-null",
             "units-not-a-list", "grid-unit-entry", "grid-count-float", "grid-count-bool",
-            "point-entry-bool", "point-entry-string", "grid-start-string", "grid-stop-bool"])
-    def test_malformed_probes_exit_2(self, runner, probes):
-        result = runner.invoke(cli, ["transform", "--input", EXP_J,
-                                     "--probes", json.dumps(probes)])
+            "point-entry-bool", "point-entry-string", "grid-start-string", "grid-stop-bool",
+            "file-number", "file-null", "file-string"])
+    def test_malformed_probes_exit_2(self, runner, probes, tmp_path):
+        text = json.dumps(probes)
+        if not isinstance(probes, (dict, list)):
+            # an inline value that is neither an object nor a list is a path
+            path = tmp_path / "probes.json"
+            path.write_text(text)
+            text = str(path)
+        result = runner.invoke(cli, ["transform", "--input", EXP_J, "--probes", text])
         assert result.exit_code == 2, result.output
 
     # float() takes JSON booleans and numeric strings; a quaternion component does not
@@ -330,6 +339,23 @@ class TestVerify:
         for tol in ("0", "-1"):
             result = runner.invoke(cli, [*args, "--tol", tol])
             assert result.exit_code == 2, result.output
+
+    # no check fails against an infinite threshold, and every one against NaN
+    @pytest.mark.parametrize("args", [
+        ["verify", "algebra"],
+        ["verify", "regularity"],
+        ["verify", "laplace"],
+        ["transform", "--input", EXP_J, "--probes", PROBES_3],
+    ], ids=["verify-algebra", "verify-regularity", "verify-laplace", "transform"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_2(self, runner, args, tol):
+        result = runner.invoke(cli, [*args, "--tol", tol])
+        assert result.exit_code == 2, result.output
+        assert "positive and finite" in result.output
+
+    def test_negative_seed_exit_2(self, runner):
+        result = runner.invoke(cli, ["verify", "algebra", "--seed", "-1"])
+        assert result.exit_code == 2, result.output
 
     @pytest.mark.parametrize("args", [
         ["transform", "--input", EXP_J, "--probes", PROBES_3, "--seed", "3"],

@@ -59,6 +59,15 @@ def transform_probes(rng, count, re_lo=0.6, re_hi=3.0, im_max=3.0):
     return out
 
 
+# every entry point that takes abs_tol
+TAKES_ABS_TOL = pytest.mark.parametrize("build", [
+    lambda f, tol: laplace_left(f, tol),
+    lambda f, tol: laplace_right(f, tol),
+    lambda f, tol: convolution(f, f, tol),
+    lambda f, tol: convolve(f, f, 1.0, tol),
+], ids=["left", "right", "convolution", "convolve"])
+
+
 class TestBasicTransforms:
     def test_constant_one(self):
         F = laplace_left(constant_function(ONE))
@@ -149,16 +158,25 @@ class TestBasicTransforms:
         for m in (1, 3):
             assert F.fn.stem.eval_with_error(complex(1, 2))[1][m] < 1e-15
 
-    @pytest.mark.parametrize("build", [
-        lambda f, tol: laplace_left(f, tol),
-        lambda f, tol: laplace_right(f, tol),
-        lambda f, tol: convolution(f, f, tol),
-        lambda f, tol: convolve(f, f, 1.0, tol),
-    ], ids=["left", "right", "convolution", "convolve"])
+    @TAKES_ABS_TOL
     def test_nonpositive_abs_tol_rejected(self, build):
         for tol in (0.0, -1e-10):
             with pytest.raises(UsageError, match="abs_tol must be positive"):
                 build(constant_function(ONE), tol)
+
+    @TAKES_ABS_TOL
+    def test_non_finite_abs_tol_rejected(self, build):
+        for tol in (math.nan, math.inf):
+            with pytest.raises(UsageError, match="abs_tol must be positive and finite"):
+                build(constant_function(ONE), tol)
+
+    def test_nan_tolerance_is_not_a_first_pass(self):
+        # no error compares greater than NaN, so the adaptive loop would stop
+        # on its first panels, 1.42 away from the value at the default tolerance
+        f = exponential_function(Quaternion(0, 30, 0, 0))
+        g = exponential_function(Quaternion(0, 0, 50, 0))
+        with pytest.raises(UsageError):
+            convolve(f, g, 20.0, abs_tol=math.nan)
 
 
 class TestClosedForm:

@@ -38,11 +38,12 @@ def test_breakpoint_handles_jump():
     assert err < 1e-12
 
 
-def test_budget_exhaustion_carries_achieved_bound():
+def test_budget_exhaustion_carries_achieved_bound(monkeypatch):
     # |t|^0.1-style cusp cannot reach 1e-15 with 8 panels
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     with pytest.raises(AccuracyError) as info:
         integrate_adaptive(lambda t: np.sqrt(np.abs(t - 0.37))[:, None],
-                           0.0, 1.0, abs_tol=1e-15, max_panels=8)
+                           0.0, 1.0, abs_tol=1e-15)
     assert info.value.achieved > 0
 
 
@@ -110,7 +111,7 @@ def test_panels_too_narrow_to_bisect_raise_with_the_bound():
     assert info.value.achieved > 1e-10
 
 
-def _one_panel_per_call(fn, a, b, *, abs_tol, max_panels=400, breakpoints=()):
+def _one_panel_per_call(fn, a, b, *, abs_tol, breakpoints=()):
     """The heap loop evaluating one panel per integrand call: the reference."""
     xgk, weights = quadrature._XGK, quadrature._WEIGHTS
 
@@ -128,7 +129,7 @@ def _one_panel_per_call(fn, a, b, *, abs_tol, max_panels=400, breakpoints=()):
         heapq.heappush(heap, (-err, lo, len(heap), hi, val, errs))
     counter, n_panels, min_width = len(heap), len(heap), 1e-12 * (b - a + 1.0)
     while total_err + frozen_err > abs_tol and heap:
-        if n_panels >= max_panels:
+        if n_panels >= quadrature.MAX_PANELS:
             raise AccuracyError("budget", achieved=total_err + frozen_err)
         neg_err, lo, _, hi, val, errs = heapq.heappop(heap)
         if hi - lo < min_width:
@@ -191,6 +192,9 @@ PINNED = {
 @pytest.mark.parametrize("case", [*PINNED, "near-edge transform"])
 def test_engine_matches_one_panel_per_call_bit_for_bit(case, monkeypatch):
     args, kwargs = PINNED[case] if case in PINNED else _edge_integrand(monkeypatch)
+    # a pinned max_panels is the panel budget of both engines
+    kwargs = dict(kwargs)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", kwargs.pop("max_panels", quadrature.MAX_PANELS))
     got = _run_recording(integrate_adaptive, *args, **kwargs)
     want = _run_recording(_one_panel_per_call, *args, **kwargs)
     assert got[0] == want[0]  # value and error, or the raised bound

@@ -117,6 +117,15 @@ def outcome(fn, q):
         return type(exc)
 
 
+def bits(value):
+    """The bytes of a quaternion's components, or an error type as it is."""
+    return value if isinstance(value, type) else np.array(value.components()).tobytes()
+
+
+def and_two_derivatives(fn):
+    return [fn, fn.slice_derivative(), fn.slice_derivative().slice_derivative()]
+
+
 class TestExtend:
     def test_exp_at_one_plus_j_pi(self):
         F = extend_intrinsic(exp_stem())
@@ -131,6 +140,12 @@ class TestExtend:
     def test_constant(self):
         F = extend_intrinsic(constant_stem(5.0))
         assert F(Quaternion(1, 2, 3, 4)) == 5 * ONE
+
+    def test_constant_and_identity_derivatives(self):
+        for z in (0j, complex(-1.5, 2.0)):
+            assert constant_stem(5.0).derivative_stem()(z) == 0
+            assert identity_stem().derivative_stem()(z) == 1
+            assert identity_stem().derivative_stem().derivative_stem()(z) == 0
 
     def test_rejects_asymmetric_stem(self):
         crooked = IntrinsicStem(lambda z: z + 1j, disk(2.0))
@@ -410,10 +425,8 @@ class TestCauchyKernel:
     @given(quaternions, quaternions)
     @settings(max_examples=200, deadline=None)
     def test_slice_inverse_builders_match_four_rational_stems(self, b, q):
-        # each builder against its four rational stems, written out here
-        def bits(value):
-            return value if isinstance(value, type) else np.array(value.components()).tobytes()
-
+        # each slice inverse and its first two slice derivatives against its
+        # four rational stems, written out here
         den = [b.norm_sq(), -2.0 * b.w, 1.0]
         exp_nums = ([-b.w, 1.0], [b.x], [b.y], [b.z])
         exp_stem_ = four_rational_stems(exp_nums, den, half_plane(b.w))
@@ -425,12 +438,14 @@ class TestCauchyKernel:
             got = exp_transform_closed_form(b, side).fn
             want = SliceRegularFunction(side, exp_stem_)
             assert got.side is side and got.domain == want.domain
-            for p in (q, far):
-                assert bits(outcome(got, p)) == bits(outcome(want, p))
+            for g, w in zip(and_two_derivatives(got), and_two_derivatives(want)):
+                for p in (q, far):
+                    assert bits(outcome(g, p)) == bits(outcome(w, p))
         got, want = cauchy_kernel(b), SliceRegularFunction(Side.LEFT, kernel_stem)
         assert got.side is Side.LEFT and got.domain == want.domain
-        for p in (q, far):
-            assert bits(outcome(got, p)) == bits(outcome(want, p))
+        for g, w in zip(and_two_derivatives(got), and_two_derivatives(want)):
+            for p in (q, far):
+                assert bits(outcome(g, p)) == bits(outcome(w, p))
         # written with |b|^2 as b0^2 + |Im b|^2, an order norm_sq may round differently
         imn2 = b.x * b.x + b.y * b.y + b.z * b.z
         right_stem = four_rational_stems(exp_nums, [b.w * b.w + imn2, -2.0 * b.w, 1.0],
@@ -442,6 +457,27 @@ class TestCauchyKernel:
             assert value is want
         else:
             assert (value - want).norm() <= 1e-15 * want.norm()
+
+    @given(st.lists(st.lists(signed, min_size=4, max_size=4), min_size=1, max_size=4),
+           st.lists(signed, min_size=1, max_size=4), quaternions)
+    @settings(max_examples=200, deadline=None)
+    def test_numerator_rows_match_four_scalar_stems(self, rows, den, q):
+        # each scalar stem drops its trailing zero coefficients, as the slice
+        # inverse's written-out stems do; that may flip the sign of a zero
+        # component, never a bit of a slice value or of its derivatives
+        def trimmed(coeffs):
+            while coeffs and coeffs[-1] == 0.0:
+                coeffs = coeffs[:-1]
+            return coeffs
+
+        vector = rational_stem(rows, den, ENTIRE)
+        scalars = four_rational_stems([trimmed([r[m] for r in rows]) for m in range(4)],
+                                      den, ENTIRE)
+        for side in Side:
+            got = and_two_derivatives(SliceRegularFunction(side, vector))
+            want = and_two_derivatives(SliceRegularFunction(side, scalars))
+            for g, w in zip(got, want):
+                assert bits(outcome(g, q)) == bits(outcome(w, q))
 
 
 class TestVerifiers:
