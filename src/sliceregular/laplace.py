@@ -28,6 +28,7 @@ left; nothing here exposes the unlawful right-sided variants.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -287,8 +288,15 @@ def derivative_of_transform(F: TransformResult, n: int) -> TransformResult:
     """Transform of t^n f(t): (-1)^n times the n-th slice derivative of F.
 
     Uses the analytic derivative chain of the stem; raises CapabilityError
-    if the stem has no analytic derivative.
+    if the stem has no analytic derivative.  The order is an int or a numpy
+    integer, never a bool.
     """
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        n = operator.index(n)
+    except TypeError:
+        raise UsageError(f"derivative order must be an integer, got {n!r}") from None
     if n < 0:
         raise UsageError("derivative order must be non-negative")
     if n == 0:

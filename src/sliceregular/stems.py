@@ -9,9 +9,10 @@ or (4,) error bound.  The combinators broadcast, so each is one definition
 for both; `stem_stack` builds a vector stem from four scalar ones, and
 `stem_star` multiplies two vector stems as quaternions.  A stem carries its
 domain and each combinator works out its result's, so a slice function's
-domain is its stem's.  Polynomial and rational stems are coefficient rows,
-(n,) for a scalar stem and (n, 4) for a vector one, with one Horner, one
-derivative rule and one real denominator per rational stem.  Stems are
+domain is its stem's.  Polynomial stems are coefficient rows, (n,) for a
+scalar stem and (n, 4) for a vector one, with one Horner and one derivative
+rule; a rational stem and `stem_div_z` are one quotient by a real row, whose
+n-th derivative reuses the orders below it.  Stems are
 callables plus an optional analytic derivative; there is no symbolic layer,
 because transform stems are defined by quadrature and are only evaluable.
 Differentiation is analytic only: a missing derivative is a CapabilityError,
@@ -58,7 +59,7 @@ DerivativeSpec = Union["IntrinsicStem", Callable[[], "IntrinsicStem"], None]
 #: default step of the 4-point numeric complex derivative
 NUMERIC_STEP = 1e-4
 
-# |denominator| (or |z| for division by z) at or below which evaluation is a pole
+# |denominator| at or below which evaluation is a pole
 _POLE_TOL = 1e-12
 
 
@@ -170,14 +171,6 @@ def _derivative_rows(cs: np.ndarray) -> np.ndarray:
     return (cs * np.arange(float(len(cs))).reshape(-1, *(1,) * (cs.ndim - 1)))[1:]
 
 
-def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The rows of a * b for rows a and the real row b, summed over ascending powers of a."""
-    out = np.zeros((len(a) + len(b) - 1, *a.shape[1:]))
-    for k in range(len(a)):
-        out[k:k + len(b)] += np.multiply.outer(b, a[k])
-    return out
-
-
 def polynomial_stem(coeffs, domain: Region = ENTIRE) -> IntrinsicStem:
     """Real-coefficient polynomial sum_n coeffs[n] z^n.
 
@@ -192,26 +185,43 @@ def polynomial_stem(coeffs, domain: Region = ENTIRE) -> IntrinsicStem:
 
 
 def rational_stem(num, den: Sequence[float], domain: Region) -> IntrinsicStem:
-    """Coefficient rows num, shaped as for polynomial_stem, over the real row den.
+    """Coefficient rows num, shaped as for polynomial_stem, over the real row den."""
+    return _quotient((polynomial_stem(num, domain),), _rows(den), domain, "rational")
 
-    The denominator and its pole test (PoleError) run once per point; each
-    component divides by it in plain complex arithmetic."""
-    nc, dc = _rows(num), _rows(den)
-    cols, pack = _columns(nc)
-    d_coeffs = dc.tolist()
+
+def _quotient(chain: tuple, p: np.ndarray, domain: Region, name: str) -> IntrinsicStem:
+    """The k-th derivative q_k of a / p, for chain = (a, ..., a^(k)) and the real row p.
+
+    Leibniz's rule on p q = a gives q_k = (a^(k) - sum_{i=1..min(k, deg p)}
+    C(k, i) p^(i) q_(k-i)) / p, bounded by (e(a^(k)) + sum C(k, i) |p^(i)|
+    e(q_(k-i))) / |p|.  Each component divides in plain complex arithmetic.
+    """
+    k = len(chain) - 1
+    rows = [p]
+    for _ in range(min(k, len(p) - 1)):
+        rows.append(_derivative_rows(rows[-1]))
+    rows = [r.tolist() for r in rows]
 
     def ev(z: complex):
-        d = _poly_eval(d_coeffs, z)
-        if abs(d) <= _POLE_TOL:
+        pz = [_poly_eval(r, z) for r in rows]
+        p0, size = pz[0], abs(pz[0])
+        if size <= _POLE_TOL:
             raise PoleError(f"evaluation within {_POLE_TOL:.0e} of a pole sphere at z={z}")
-        return pack([_poly_eval(c, z) / d for c in cols]), 0.0
+        qs, es = [], []
+        for j, a in enumerate(chain):
+            v, e = a.eval_with_error(z)
+            vector = isinstance(v, np.ndarray)
+            vs = v.tolist() if vector else [v]
+            for i in range(1, min(j, len(rows) - 1) + 1):
+                w = math.comb(j, i) * pz[i]
+                vs = [x - w * y for x, y in zip(vs, qs[j - i])]
+                e = e + math.comb(j, i) * abs(pz[i]) * es[j - i]
+            qs.append([x / p0 for x in vs])
+            es.append(e / size)
+        return (np.array(qs[-1]) if vector else qs[-1][0]), es[-1]
 
-    def make_derivative() -> IntrinsicStem:
-        # (n/d)' = (n'd - nd') / d^2; both products have len(n) + len(d) - 2 rows
-        num2 = _row_product(_derivative_rows(nc), dc) - _row_product(nc, _derivative_rows(dc))
-        return rational_stem(num2, _row_product(dc, dc), domain)
-
-    return IntrinsicStem._with_error(ev, domain, make_derivative, "rational")
+    deriv = lambda: _quotient((*chain, chain[-1].derivative_stem()), p, domain, name)
+    return IntrinsicStem._with_error(ev, domain, deriv, name)
 
 
 def slice_inverse_stem(b, domain: Region, sign: float = 1.0) -> IntrinsicStem:
@@ -322,23 +332,11 @@ def stem_mul_z(a: IntrinsicStem) -> IntrinsicStem:
 
 def stem_div_z(a: IntrinsicStem) -> IntrinsicStem:
     """Divide by z; a half-plane domain reaching left of 0 becomes Re z > 0."""
-
-    def ev(z):
-        if abs(z) <= _POLE_TOL:
-            raise PoleError("division by z at the origin")
-        v, e = a.eval_with_error(z)
-        return v / z, e / abs(z)
-
-    # (f/z)' = f'/z - f/z^2
-    deriv = lambda: stem_sum(
-        stem_div_z(a.derivative_stem()),
-        stem_scale(-1.0, stem_div_z(stem_div_z(a))),
-    )
     dom = a.domain
     if dom.kind == HALF_PLANE and dom.bounds[0] < 0.0:
         # the largest half-plane clear of the pole at 0
         dom = half_plane(0.0)
-    return IntrinsicStem._with_error(ev, dom, deriv, f"({a.name})/z")
+    return _quotient((a,), np.array([0.0, 1.0]), dom, f"({a.name})/z")
 
 
 def stem_stack(parts: Sequence[IntrinsicStem]) -> IntrinsicStem:

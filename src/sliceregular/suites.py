@@ -504,6 +504,8 @@ def run_suite(name: str, seed: int = 0, tol: Optional[float] = None) -> list[Pro
     if tol is not None and not 0.0 < tol < math.inf:
         raise UsageError(f"tol must be positive and finite, got {tol!r}")
     if name == "algebra":
+        if tol is not None:
+            raise UsageError("the algebra suite has fixed thresholds and takes no tol")
         return algebra_suite(seed)
     if name == "regularity":
         return regularity_suite(seed, tol)

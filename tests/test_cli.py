@@ -353,6 +353,12 @@ class TestVerify:
         assert result.exit_code == 2, result.output
         assert "positive and finite" in result.output
 
+    def test_algebra_tol_exit_2(self, runner):
+        # the algebra suite's thresholds are fixed, so a tol would go unread
+        result = runner.invoke(cli, ["verify", "algebra", "--tol", "5"])
+        assert result.exit_code == 2, result.output
+        assert "takes no tol" in result.output
+
     def test_negative_seed_exit_2(self, runner):
         result = runner.invoke(cli, ["verify", "algebra", "--seed", "-1"])
         assert result.exit_code == 2, result.output

@@ -356,6 +356,17 @@ class TestDerivativeOfTransform:
         with pytest.raises(UsageError):
             derivative_of_transform(laplace_left(constant_function(ONE)), -1)
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, False, "1", None, np.True_],
+                             ids=["1.5", "2.0", "True", "False", "str", "None", "np.True_"])
+    def test_non_integer_order_rejected(self, n):
+        with pytest.raises(UsageError, match="must be an integer"):
+            derivative_of_transform(exp_transform_closed_form(J, Side.LEFT), n)
+
+    def test_numpy_integer_order(self):
+        F = exp_transform_closed_form(J, Side.LEFT)
+        s = Quaternion(2.0, 0.5, 0.0, 0.0)
+        assert derivative_of_transform(F, np.int64(2))(s) == derivative_of_transform(F, 2)(s)
+
 
 class TestIntegralRule:
     def test_constant_gives_inverse_square(self):
