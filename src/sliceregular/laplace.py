@@ -39,7 +39,7 @@ from . import quadrature
 from .errors import AccuracyError, DomainError, UsageError, worst_case
 from .quaternion import Quaternion, quat_mul_rows
 from .regions import Region, half_plane
-from .series import Side
+from .series import Side, _components
 from .slicefn import SliceRegularFunction
 from .stems import (
     IntrinsicStem,
@@ -47,7 +47,6 @@ from .stems import (
     polynomial_stem,
     slice_inverse_stem,
     stem_div_z,
-    stem_mul_z,
     stem_product,
     stem_scale,
     stem_shift,
@@ -268,19 +267,20 @@ def transform_of_nth_derivative(F: TransformResult,
                                 initial_values: Sequence[Quaternion]) -> TransformResult:
     """Transform of the n-th derivative, n = len(initial_values).
 
-    s^n F(s) - s^{n-1} f(0+) - ... - f^{(n-1)}(0+); an empty list degenerates
-    to the identity (n = 0).
+    s^n F(s) - s^{n-1} f(0+) - ... - f^{(n-1)}(0+), with s^n F one product
+    stem; the values are a list or tuple, each a Quaternion, a real number or
+    a 4-list (else UsageError).  An empty list degenerates to the identity.
     """
     if F.side is not Side.LEFT:
         raise UsageError("the derivative rule is stated for left transforms")
+    if not isinstance(initial_values, (list, tuple)):
+        raise UsageError(f"initial values must be a list of quaternions, got {initial_values!r}")
     n = len(initial_values)
     if n == 0:
         return F
-    powered = F.fn.stem
-    for _ in range(n):
-        powered = stem_mul_z(powered)
     # polynomial sum_r values[r] z^{n-1-r}
-    correction = polynomial_stem([iv.components() for iv in reversed(initial_values)], F.domain)
+    correction = polynomial_stem([_components(iv) for iv in reversed(initial_values)], F.domain)
+    powered = stem_product(polynomial_stem([0.0] * n + [1.0], F.domain), F.fn.stem)
     return F._wrap(stem_sum(powered, stem_scale(-1.0, correction)))
 
 

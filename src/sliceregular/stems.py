@@ -11,10 +11,11 @@ for both; `stem_stack` builds a vector stem from four scalar ones, and
 domain and each combinator works out its result's, so a slice function's
 domain is its stem's.  Polynomial stems are coefficient rows, (n,) for a
 scalar stem and (n, 4) for a vector one, with one Horner and one derivative
-rule; a rational stem and `stem_div_z` are one quotient by a real row, whose
-n-th derivative reuses the orders below it.  Stems are
-callables plus an optional analytic derivative; there is no symbolic layer,
-because transform stems are defined by quadrature and are only evaluable.
+rule.  Products (`stem_product`, `stem_star`) and quotients by a real row
+(rational stems, `stem_div_z`) are Leibniz chains, whose n-th derivative
+reads each order of each operand once.  Stems are callables plus an
+optional analytic derivative; there is no symbolic layer, because transform
+stems are defined by quadrature and are only evaluable.
 Differentiation is analytic only: a missing derivative is a CapabilityError,
 and the numeric difference quotient is a separate, explicit stem.
 """
@@ -44,7 +45,6 @@ __all__ = [
     "stem_product",
     "stem_scale",
     "stem_shift",
-    "stem_mul_z",
     "stem_div_z",
     "stem_stack",
     "stem_star",
@@ -282,16 +282,33 @@ def stem_sum(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
 
 
 def stem_product(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
-    def ev(z):
-        va, ea = a.eval_with_error(z)
-        vb, eb = b.eval_with_error(z)
+    def times(va, ea, vb, eb):
         return va * vb, abs(va) * eb + abs(vb) * ea + ea * eb
 
-    deriv = lambda: stem_sum(
-        stem_product(a.derivative_stem(), b),
-        stem_product(a, b.derivative_stem()),
-    )
-    return IntrinsicStem._with_error(ev, _common_domain(a, b), deriv, f"({a.name})*({b.name})")
+    return _product((a,), (b,), times, f"({a.name})*({b.name})")
+
+
+def _product(ca: tuple, cb: tuple, times: Callable, name: str) -> IntrinsicStem:
+    """The k-th derivative of a b for ca = (a, ..., a^(k)), cb = (b, ..., b^(k)): Leibniz's
+    sum over ascending i, without a term whose a^(i), i > 0, is 0 with error 0."""
+    k = len(ca) - 1
+
+    def ev(z):
+        value, error = times(*ca[0].eval_with_error(z), *cb[k].eval_with_error(z))
+        for i in range(1, k + 1):
+            va, ea = ca[i].eval_with_error(z)
+            if not (np.any(va) or np.any(ea)):
+                continue
+            v, e = times(va, ea, *cb[k - i].eval_with_error(z))
+            if i < k:  # no weight of 1, which can flip the sign of a zero
+                w = math.comb(k, i)
+                v, e = w * v, w * e
+            value, error = value + v, error + e
+        return value, error
+
+    deriv = lambda: _product((*ca, ca[-1].derivative_stem()), (*cb, cb[-1].derivative_stem()),
+                             times, name)
+    return IntrinsicStem._with_error(ev, _common_domain(ca[0], cb[0]), deriv, name)
 
 
 def stem_scale(factor, a: IntrinsicStem) -> IntrinsicStem:
@@ -319,15 +336,6 @@ def stem_shift(a: IntrinsicStem, offset: float) -> IntrinsicStem:
     return IntrinsicStem._with_error(lambda z: a.eval_with_error(z + off),
                                      half_plane(a.domain.bounds[0] - off), deriv,
                                      f"{a.name}(z+{off:g})")
-
-
-def stem_mul_z(a: IntrinsicStem) -> IntrinsicStem:
-    def ev(z):
-        v, e = a.eval_with_error(z)
-        return z * v, abs(z) * e
-
-    deriv = lambda: stem_sum(a, stem_mul_z(a.derivative_stem()))
-    return IntrinsicStem._with_error(ev, a.domain, deriv, f"z*({a.name})")
 
 
 def stem_div_z(a: IntrinsicStem) -> IntrinsicStem:
@@ -373,8 +381,7 @@ def stem_star(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
     |a_m| e(b_n) + |b_n| e(a_m) + e(a_m) e(b_n).
     """
 
-    def ev(z):
-        (va, ea), (vb, eb) = a.eval_with_error(z), b.eval_with_error(z)
+    def times(va, ea, vb, eb):
         va, ea, vb, eb = va.tolist(), _components(ea), vb.tolist(), _components(eb)
         values, errors = [], []
         for p in range(4):
@@ -388,5 +395,4 @@ def stem_star(a: IntrinsicStem, b: IntrinsicStem) -> IntrinsicStem:
             errors.append(error)
         return np.array(values), np.array(errors)
 
-    deriv = lambda: stem_sum(stem_star(a.derivative_stem(), b), stem_star(a, b.derivative_stem()))
-    return IntrinsicStem._with_error(ev, _common_domain(a, b), deriv, f"({a.name})*({b.name})")
+    return _product((a,), (b,), times, f"({a.name})*({b.name})")

@@ -303,6 +303,27 @@ class TestDerivativeRules:
         with pytest.raises(UsageError):
             transform_of_derivative(R, ONE)
 
+    def test_initial_values_read_like_series_coefficients(self, rng):
+        F = laplace_left(exponential_function(J))
+        pairs = [(transform_of_nth_derivative(F, [ONE, J]),
+                  transform_of_nth_derivative(F, (1.0, [0, 0, 1, 0]))),
+                 (transform_of_derivative(F, ONE), transform_of_derivative(F, 1))]
+        for s in transform_probes(rng, 3):
+            for A, B in pairs:
+                assert A(s) == B(s)
+
+    @pytest.mark.parametrize("values", [ONE, 1.0, "1", np.zeros((1, 4)), [ONE, "1"],
+                                        [[1.0, 0.0, 0.0]], [None]],
+                             ids=["quaternion", "real", "str", "array", "str_value",
+                                  "three_components", "none"])
+    def test_malformed_initial_values_raise_usage_error(self, values):
+        with pytest.raises(UsageError):
+            transform_of_nth_derivative(laplace_left(exponential_function(J)), values)
+
+    def test_malformed_initial_value_of_first_derivative_raises_usage_error(self):
+        with pytest.raises(UsageError):
+            transform_of_derivative(laplace_left(exponential_function(J)), "1")
+
     def test_nth_empty_is_identity(self):
         F = laplace_left(constant_function(ONE))
         assert transform_of_nth_derivative(F, []) is F
