@@ -15,24 +15,30 @@ panel with the largest summed component error is bisected until the total
 over all panels and components meets the tolerance or the panel budget is
 exhausted; the result carries each component's own summed error, so the
 component errors add up to at most the tolerance.  The initial panels
-share one call, and each bisection evaluates both halves in one call; a
-panel's sums do not depend on the panels evaluated with it, so every value,
-error and raised bound is that of evaluating one panel per call.  Running
-out of budget, or of panels wide enough to bisect, raises AccuracyError
-carrying the achieved bound; a panel with a non-finite value raises it
-with an infinite one.  Splitting decisions depend only on the integrand and
-the interval, so repeated calls are deterministic.
+share one call, and one call evaluates the halves of every panel the loop
+is certain to bisect: the popped panel, and each panel while the panels
+ranked below it in the heap, with the frozen ones, hold more than the
+tolerance, for the loop cannot stop before it pops that panel.  A
+panel's sums do not depend on the panels evaluated with it, so every
+value, error and raised bound is that of evaluating one panel per call.
+Running out of budget, or of panels wide enough to bisect, raises
+AccuracyError carrying the achieved bound; a panel with a non-finite
+value raises it with an infinite one when it is taken into the sum, so a
+half evaluated ahead and never popped changes nothing.  Splitting
+decisions depend only on the integrand and the interval, so repeated
+calls are deterministic.
 """
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, UsageError
 
 __all__ = ["integrate_adaptive"]
 
@@ -95,20 +101,41 @@ def _panels(fn: Integrand, lo: Sequence[float],
 
     One integrand call evaluates every panel, and one stacked product
     reduces each panel exactly as a product on that panel alone would, so a
-    panel's sums do not depend on the panels evaluated with it.
+    panel's sums do not depend on the panels evaluated with it.  A
+    non-finite value is returned as it is.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     values = np.asarray(fn((mid[:, None] + half[:, None] * _XGK).ravel()))
     sums = half[:, None, None] * (_WEIGHTS @ values.reshape(lo.size, _XGK.size, -1))
-    kronrod = sums[:, 0]
-    bad = ~np.isfinite(kronrod).all(axis=1)
-    if bad.any():
-        p = int(bad.argmax())
-        raise AccuracyError(f"integrand is not finite on [{lo[p]:g}, {hi[p]:g}]",
-                            achieved=math.inf)
-    return kronrod, np.abs(sums[:, 1])
+    return sums[:, 0], np.abs(sums[:, 1])
+
+
+def _certain(heap: list, slack: float, room: int, min_width: float) -> list[tuple[float, float]]:
+    """The (lo, hi) of the heap's panels the loop is certain to bisect, in key order.
+
+    A panel is certain while the slack, the total error less the tolerance
+    and the errors of the panels ahead of it and its own, stays positive:
+    until it is popped, the panels behind it keep the total above the
+    tolerance.  Panels narrower than min_width are frozen, not bisected,
+    and the walk stops after room bisections.  The heap is walked lazily
+    through a frontier of indices; the children of i are 2i+1 and 2i+2.
+    """
+    certain: list[tuple[float, float]] = []
+    frontier = [(heap[0][:2], 0)] if heap else []
+    while frontier and len(certain) < room:
+        (neg_err, lo), i = heapq.heappop(frontier)
+        slack += neg_err
+        if not slack > 0.0:
+            break
+        hi = heap[i][2]
+        if hi - lo >= min_width:
+            certain.append((lo, hi))
+        for child in (2 * i + 1, 2 * i + 2):
+            if child < len(heap):
+                heapq.heappush(frontier, (heap[child][:2], child))
+    return certain
 
 
 # overflow shows as a non-finite panel, which raises
@@ -120,10 +147,19 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *, abs_tol: float,
     Returns (value, componentwise summed error estimate), whose components
     sum to at most abs_tol; raises AccuracyError carrying the achieved
     bound when the panel budget runs out first or every panel left is too
-    narrow to bisect, and an infinite one when a panel's value is not
-    finite.
+    narrow to bisect, and an infinite one when a panel taken into the sum
+    (an initial panel, or the left and then the right half of a popped
+    one) is not finite.  One integrand call evaluates the halves of every
+    panel the loop is certain to bisect, and the values, errors and raised
+    bounds are those of evaluating one panel per call.  UsageError when
+    a > b, an end is not finite or abs_tol is not positive and finite.
     """
-    if b <= a:
+    if not -math.inf < a <= b < math.inf:
+        raise UsageError(f"integration interval needs finite a <= b, got [{a!r}, {b!r}]")
+    # NaN fails every comparison, so it would never stop the loop
+    if not 0.0 < abs_tol < math.inf:
+        raise UsageError(f"abs_tol must be positive and finite, got {abs_tol!r}")
+    if b == a:
         probe = np.asarray(fn(np.array([a])))[0]
         return np.zeros_like(probe), np.zeros(probe.shape)
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
@@ -131,16 +167,27 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *, abs_tol: float,
     heap: list[tuple[float, float, float, np.ndarray, np.ndarray]] = []
     total_err = 0.0
     total_val: np.ndarray | None = None
-    vals, errss = _panels(fn, edges[:-1], edges[1:])
-    for lo, hi, val, errs in zip(edges[:-1], edges[1:], vals, errss):
+
+    def take(lo: float, hi: float, val: np.ndarray, errs: np.ndarray) -> None:
+        """Add a panel to the sum and the heap; a non-finite one raises."""
+        nonlocal total_val, total_err
+        # cmath on the list: a third of the cost of np.isfinite on a few components
+        if not all(map(cmath.isfinite, val.tolist())):
+            raise AccuracyError(f"integrand is not finite on [{lo:g}, {hi:g}]",
+                                achieved=math.inf)
         err = float(errs.sum())
         total_val = val if total_val is None else total_val + val
         total_err += err
         heapq.heappush(heap, (-err, lo, hi, val, errs))
+
+    for lo, hi, val, errs in zip(edges[:-1], edges[1:], *_panels(fn, edges[:-1], edges[1:])):
+        take(lo, hi, val, errs)
     n_panels = len(edges) - 1
     min_width = 1e-12 * (b - a + 1.0)
     frozen_err = 0.0
     frozen = []
+    # lo of a live panel -> the values and errors of its two halves
+    halves: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     while total_err + frozen_err > abs_tol and heap:
         if n_panels >= MAX_PANELS:
             raise AccuracyError("quadrature subdivision budget exhausted",
@@ -154,12 +201,20 @@ def integrate_adaptive(fn: Integrand, a: float, b: float, *, abs_tol: float,
             frozen.append(errs)
             continue
         mid = 0.5 * (lo + hi)
-        (lval, rval), (lerrs, rerrs) = _panels(fn, (lo, mid), (mid, hi))
-        lerr, rerr = float(lerrs.sum()), float(rerrs.sum())
-        total_val = total_val - val + lval + rval
-        total_err = total_err - err + lerr + rerr
-        heapq.heappush(heap, (-lerr, lo, mid, lval, lerrs))
-        heapq.heappush(heap, (-rerr, mid, hi, rval, rerrs))
+        if lo not in halves:
+            batch = [(lo, hi)] + [
+                panel for panel in _certain(heap, total_err + frozen_err - abs_tol - err,
+                                            MAX_PANELS - n_panels - 1, min_width)
+                if panel[0] not in halves]
+            vals, errss = _panels(fn, [x for p, q in batch for x in (p, 0.5 * (p + q))],
+                                  [x for p, q in batch for x in (0.5 * (p + q), q)])
+            halves.update(zip((p for p, _ in batch),
+                              zip(vals.reshape(len(batch), 2, -1),
+                                  errss.reshape(len(batch), 2, -1))))
+        (lval, rval), (lerrs, rerrs) = halves.pop(lo)
+        total_val, total_err = total_val - val, total_err - err
+        take(lo, mid, lval, lerrs)
+        take(mid, hi, rval, rerrs)
         n_panels += 1
     if total_err + frozen_err > abs_tol:
         raise AccuracyError("quadrature panels too narrow to bisect further",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceregular import quadrature
-from sliceregular.errors import AccuracyError
+from sliceregular.errors import AccuracyError, UsageError
 from sliceregular.laplace import convolve, exp_transform_closed_form, laplace_left
 from sliceregular.quadrature import integrate_adaptive
 from sliceregular.quaternion import ONE, I, J, Quaternion, slice_embed
@@ -98,9 +98,9 @@ def test_integrand_called_once_per_batch_of_panels():
     # two initial panels, then two children for each bisected panel
     bisected = [(lo, hi) for lo, hi in panels if (lo, round(0.5 * (lo + hi), 12)) in panels]
     assert len(panels) == 2 + 2 * len(bisected) and len(bisected) > 0
-    # one call per bisection, holding both halves of the bisected panel
-    assert len(calls) == 1 + len(bisected)
-    assert all(len(call) == 2 and call[0][1] == call[1][0] for call in calls[1:])
+    # a call holds the halves of every panel certain to be bisected
+    assert len(calls) - 1 < len(bisected)
+    assert all(len(call) % 2 == 0 for call in calls[1:])
 
 
 def test_panels_too_narrow_to_bisect_raise_with_the_bound():
@@ -111,6 +111,7 @@ def test_panels_too_narrow_to_bisect_raise_with_the_bound():
     assert info.value.achieved > 1e-10
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _one_panel_per_call(fn, a, b, *, abs_tol, breakpoints=()):
     """The heap loop evaluating one panel per integrand call: the reference."""
     xgk, weights = quadrature._XGK, quadrature._WEIGHTS
@@ -118,6 +119,9 @@ def _one_panel_per_call(fn, a, b, *, abs_tol, breakpoints=()):
     def panel(lo, hi):
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         kronrod, deviation = half * (weights @ fn(mid + half * xgk))
+        if not np.isfinite(kronrod).all():
+            raise AccuracyError(f"integrand is not finite on [{lo:g}, {hi:g}]",
+                                achieved=math.inf)
         return kronrod, np.abs(deviation), float(np.abs(deviation).sum())
 
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
@@ -130,7 +134,8 @@ def _one_panel_per_call(fn, a, b, *, abs_tol, breakpoints=()):
     counter, n_panels, min_width = len(heap), len(heap), 1e-12 * (b - a + 1.0)
     while total_err + frozen_err > abs_tol and heap:
         if n_panels >= quadrature.MAX_PANELS:
-            raise AccuracyError("budget", achieved=total_err + frozen_err)
+            raise AccuracyError("quadrature subdivision budget exhausted",
+                                achieved=total_err + frozen_err)
         neg_err, lo, _, hi, val, errs = heapq.heappop(heap)
         if hi - lo < min_width:
             frozen_err, total_err = frozen_err - neg_err, total_err + neg_err
@@ -143,11 +148,18 @@ def _one_panel_per_call(fn, a, b, *, abs_tol, breakpoints=()):
         heapq.heappush(heap, (-lerr, lo, counter, mid, lval, lerrs))
         heapq.heappush(heap, (-rerr, mid, counter + 1, hi, rval, rerrs))
         counter, n_panels = counter + 2, n_panels + 1
+    if total_err + frozen_err > abs_tol:
+        raise AccuracyError("quadrature panels too narrow to bisect further",
+                            achieved=total_err + frozen_err)
     return total_val, sum(frozen + [entry[-1] for entry in heap])
 
 
 def _run_recording(engine, fn, *args, **kwargs):
-    """(outcome, sorted bytes of every evaluated panel's nodes) of one run."""
+    """(outcome, sorted bytes of every evaluated panel's nodes) of one run.
+
+    The outcome is the bits of the value and error, or the message and
+    the bits of the achieved bound of the AccuracyError raised.
+    """
     panels = []
 
     def recorded(t):
@@ -158,8 +170,16 @@ def _run_recording(engine, fn, *args, **kwargs):
         value, err = engine(recorded, *args, **kwargs)
         outcome = (value.view(np.uint64).tolist(), np.asarray(err).view(np.uint64).tolist())
     except AccuracyError as exc:
-        outcome = ("raised", np.float64(exc.achieved).view(np.uint64))
+        outcome = (str(exc), np.float64(exc.achieved).view(np.uint64))
     return outcome, sorted(panels)
+
+
+def _agree(got, want):
+    """The engine's outcome is the reference's, bit for bit, and it evaluates
+    every panel the reference does and none twice."""
+    assert got[0] == want[0]  # value and error, or the raised message and bound
+    assert len(set(got[1])) == len(got[1])
+    assert set(want[1]) <= set(got[1])
 
 
 def _edge_integrand(monkeypatch):
@@ -197,8 +217,112 @@ def test_engine_matches_one_panel_per_call_bit_for_bit(case, monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", kwargs.pop("max_panels", quadrature.MAX_PANELS))
     got = _run_recording(integrate_adaptive, *args, **kwargs)
     want = _run_recording(_one_panel_per_call, *args, **kwargs)
-    assert got[0] == want[0]  # value and error, or the raised bound
-    assert got[1] == want[1]  # the multiset of evaluated panels
+    _agree(got, want)
+    # halves evaluated ahead and never popped exist only when the budget runs out
+    if "budget exhausted" not in str(want[0][0]):
+        assert got[1] == want[1]
+
+
+def _term(kind, x, length):
+    """A cusp |t - c|^(1/2), an oscillation sin(w t)/(1 + t) or a step at a
+    breakpoint c, placed by x in [0, 1]: (map, breakpoints)."""
+    c = x * length
+    if kind == "cusp":
+        return (lambda t: np.sqrt(np.abs(t - c))), []
+    if kind == "oscillation":
+        return (lambda t: np.sin((1.0 + 30.0 * x) * t) / (1.0 + t)), []
+    return (lambda t: np.where(t >= c, 1.0, 0.0)), [c]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_engine_matches_one_panel_per_call_on_drawn_integrands(data):
+    length = data.draw(st.floats(0.5, 10.0))
+    k = data.draw(st.integers(1, 4))
+    coef = (st.complex_numbers(max_magnitude=2.0) if data.draw(st.booleans())
+            else st.floats(-2.0, 2.0))
+    term = st.tuples(st.sampled_from(["cusp", "oscillation", "step"]), st.floats(0.0, 1.0),
+                     st.lists(coef, min_size=k, max_size=k))
+    terms = data.draw(st.lists(term, min_size=1, max_size=3))
+    abs_tol = data.draw(st.floats(-14.0, -6.0).map(lambda e: 10.0 ** e))
+    parts = [(*_term(kind, x, length), np.array(c)) for kind, x, c in terms]
+
+    def fn(t):
+        return sum(np.multiply.outer(f(t), c) for f, _, c in parts)
+
+    breakpoints = [p for _, points, _ in parts for p in points]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "MAX_PANELS", data.draw(st.integers(4, 60)))
+        _agree(_run_recording(integrate_adaptive, fn, 0.0, length, abs_tol=abs_tol,
+                              breakpoints=breakpoints),
+               _run_recording(_one_panel_per_call, fn, 0.0, length, abs_tol=abs_tol,
+                              breakpoints=breakpoints))
+
+
+@pytest.mark.parametrize("a, b, abs_tol", [(1.0, 0.0, 1e-10), (0.0, math.nan, 1e-10),
+                                           (0.0, math.inf, 1e-10), (-math.inf, 0.0, 1e-10),
+                                           (0.0, 1.0, math.nan), (0.0, 1.0, 0.0),
+                                           (0.0, 1.0, -1e-10), (0.0, 1.0, math.inf)])
+def test_malformed_interval_or_tolerance_raises_usage_error(a, b, abs_tol):
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return np.ones((t.size, 1))
+
+    with pytest.raises(UsageError):
+        integrate_adaptive(fn, a, b, abs_tol=abs_tol)
+    assert calls == []
+
+
+def test_near_edge_transform_takes_a_third_of_the_calls_of_its_bisections(monkeypatch):
+    (fn, a, b), kwargs = _edge_integrand(monkeypatch)
+    calls = []
+
+    def counted(t):
+        calls.append(t.size // quadrature._XGK.size)
+        return fn(t)
+
+    integrate_adaptive(counted, a, b, **kwargs)
+    bisections = (sum(calls) - calls[0]) // 2
+    assert bisections > 300 and 3 * len(calls) <= bisections
+
+
+def _poisoned(fn, node):
+    """fn with NaN at the one time node."""
+    return lambda t: np.where((t == node)[:, None], np.nan, fn(t))
+
+
+def test_nan_in_a_half_evaluated_ahead_and_never_popped_leaves_the_budget_error(monkeypatch):
+    (fn, a, b), options = PINNED["cusp on a budget"]
+    kwargs = dict(abs_tol=options["abs_tol"])
+    for budget in range(4, 40):
+        monkeypatch.setattr(quadrature, "MAX_PANELS", budget)
+        got = _run_recording(integrate_adaptive, fn, a, b, **kwargs)
+        want = _run_recording(_one_panel_per_call, fn, a, b, **kwargs)
+        ahead = sorted(set(got[1]) - set(want[1]))
+        if ahead:
+            break
+    assert ahead, "the lookahead never evaluated a half it did not pop"
+    node = np.frombuffer(ahead[0])[3]
+    got = _run_recording(integrate_adaptive, _poisoned(fn, node), a, b, **kwargs)
+    want = _run_recording(_one_panel_per_call, _poisoned(fn, node), a, b, **kwargs)
+    assert "budget exhausted" in got[0][0]
+    _agree(got, want)
+
+
+def test_nan_in_a_popped_half_raises_naming_that_half():
+    (fn, a, b), kwargs = PINNED["wiggle"]
+    nodes = []
+    _one_panel_per_call(lambda t: nodes.append(t.copy()) or fn(t), a, b, **kwargs)
+    # the right half of the third bisection, after the two initial panels
+    half = nodes[2 + 2 * 2 + 1]
+    (lo, hi), = _split_into_panels(half)
+    got = _run_recording(integrate_adaptive, _poisoned(fn, half[5]), a, b, **kwargs)
+    want = _run_recording(_one_panel_per_call, _poisoned(fn, half[5]), a, b, **kwargs)
+    assert got[0] == (f"integrand is not finite on [{lo:g}, {hi:g}] (achieved error bound inf)",
+                      np.float64(math.inf).view(np.uint64))
+    _agree(got, want)
 
 
 @settings(max_examples=60, deadline=None)
