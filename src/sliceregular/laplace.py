@@ -6,8 +6,8 @@ complex transforms evaluated on the slice of s, assembled back through the
 tensor form: that is exactly how the engine evaluates.  The four share the
 kernel e^{-tz}, so the transform is one vector stem, and at each point one
 adaptive panel quadrature of a complex 4-vector computes its four
-components together, evaluating the kernel and f once per bisection, on
-both halves' 42 nodes.  It truncates the half-line at a point T* where the
+components together, evaluating the kernel and f once per round of
+bisections, on the 42 nodes of each bisected panel's halves.  It truncates the half-line at a point T* where the
 analytic tail bound K e^{(a - Re s) T*} terms falls below half the
 tolerance abs_tol (with a safety factor of 10), and spends the other half
 on panels of [0, T*] that start as [0, 1], [1, 2], [2, 4], ..., [2^k, T*];

@@ -10,29 +10,30 @@ QUADPACK's qk21 (Piessens et al., QUADPACK, 1983): each panel's error
 estimate is the componentwise modulus of the deviation between the 21-point
 Kronrod value and the embedded 10-point Gauss value, weighed in one product
 with the difference of the two weight rows.  Breakpoints force panel
-boundaries so that jump discontinuities never sit inside a panel, and the
-panel with the largest summed component error is bisected until the total
-over all panels and components meets the tolerance or the panel budget is
-exhausted; the result carries each component's own summed error, so the
-component errors add up to at most the tolerance.  The initial panels
-share one call, and one call evaluates the halves of every panel the loop
-is certain to bisect: the popped panel, and each panel while the panels
-ranked below it in the heap, with the frozen ones, hold more than the
-tolerance, for the loop cannot stop before it pops that panel.  A
-panel's sums do not depend on the panels evaluated with it, so every
-value, error and raised bound is that of evaluating one panel per call.
-Running out of budget, or of panels wide enough to bisect, raises
-AccuracyError carrying the achieved bound; a panel with a non-finite
-value raises it with an infinite one when it is taken into the sum, so a
-half evaluated ahead and never popped changes nothing.  Splitting
-decisions depend only on the integrand and the interval, so repeated
-calls are deterministic.
+boundaries so that jump discontinuities never sit inside a panel.
+
+The loop runs in rounds over arrays of panels, one integrand call each: the
+initial panels, then the halves of every panel the round bisects.  A round
+stops when the exactly rounded sum of the component errors is at most the
+tolerance; otherwise it ranks the panels wide enough to bisect by their
+summed component error and bisects the top one and each next one while the
+panels ranked at or below it, with the narrow ones, hold more than the
+tolerance, for a loop bisecting one panel at a time could not stop before
+it reaches that one (Shampine, J. Comput. Appl. Math. 211, 2008, bisects
+in rounds).  The value and each component's error are summed exactly from
+the final panels, as QUADPACK's dqagse sums its panel list again at the end,
+so a result depends on its panel set alone and its component errors add up
+to at most the tolerance.  A panel's sums do not depend on the panels
+evaluated with it.  A non-finite panel raises AccuracyError with an
+infinite bound, naming the first such panel along the interval, and so
+does a sum beyond the float range; running out of the panel budget, or of
+panels wide enough to bisect, raises it carrying the achieved bound.
+Splitting decisions depend only on the integrand and the interval, so
+repeated calls are deterministic.
 """
 
 from __future__ import annotations
 
-import cmath
-import heapq
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -112,111 +113,60 @@ def _panels(fn: Integrand, lo: Sequence[float],
     return sums[:, 0], np.abs(sums[:, 1])
 
 
-def _certain(heap: list, slack: float, room: int, min_width: float) -> list[tuple[float, float]]:
-    """The (lo, hi) of the heap's panels the loop is certain to bisect, in key order.
-
-    A panel is certain while the slack, the total error less the tolerance
-    and the errors of the panels ahead of it and its own, stays positive:
-    until it is popped, the panels behind it keep the total above the
-    tolerance.  Panels narrower than min_width are frozen, not bisected,
-    and the walk stops after room bisections.  The heap is walked lazily
-    through a frontier of indices; the children of i are 2i+1 and 2i+2.
-    """
-    certain: list[tuple[float, float]] = []
-    frontier = [(heap[0][:2], 0)] if heap else []
-    while frontier and len(certain) < room:
-        (neg_err, lo), i = heapq.heappop(frontier)
-        slack += neg_err
-        if not slack > 0.0:
-            break
-        hi = heap[i][2]
-        if hi - lo >= min_width:
-            certain.append((lo, hi))
-        for child in (2 * i + 1, 2 * i + 2):
-            if child < len(heap):
-                heapq.heappush(frontier, (heap[child][:2], child))
-    return certain
+def _fsum(xs: Iterable[float]) -> float:
+    """math.fsum; a sum beyond the float range raises AccuracyError with an infinite bound."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        raise AccuracyError("quadrature sum overflows", achieved=math.inf) from None
 
 
 # overflow shows as a non-finite panel, which raises
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_adaptive(fn: Integrand, a: float, b: float, *, abs_tol: float,
                        breakpoints: Iterable[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate a vector-valued integrand over [a, b].
-
-    Returns (value, componentwise summed error estimate), whose components
-    sum to at most abs_tol; raises AccuracyError carrying the achieved
-    bound when the panel budget runs out first or every panel left is too
-    narrow to bisect, and an infinite one when a panel taken into the sum
-    (an initial panel, or the left and then the right half of a popped
-    one) is not finite.  One integrand call evaluates the halves of every
-    panel the loop is certain to bisect, and the values, errors and raised
-    bounds are those of evaluating one panel per call.  UsageError when
-    a > b, an end is not finite or abs_tol is not positive and finite.
-    """
+    """Integrate fn over [a, b]: (value, componentwise errors that sum to at most abs_tol)."""
     if not -math.inf < a <= b < math.inf:
         raise UsageError(f"integration interval needs finite a <= b, got [{a!r}, {b!r}]")
     # NaN fails every comparison, so it would never stop the loop
     if not 0.0 < abs_tol < math.inf:
         raise UsageError(f"abs_tol must be positive and finite, got {abs_tol!r}")
     if b == a:
-        probe = np.asarray(fn(np.array([a])))[0]
-        return np.zeros_like(probe), np.zeros(probe.shape)
+        vals, errs = _panels(fn, [a], [a])
+        return np.zeros_like(vals[0]), np.zeros_like(errs[0])
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    # live panels have distinct lo, so (-err, lo) orders the heap
-    heap: list[tuple[float, float, float, np.ndarray, np.ndarray]] = []
-    total_err = 0.0
-    total_val: np.ndarray | None = None
-
-    def take(lo: float, hi: float, val: np.ndarray, errs: np.ndarray) -> None:
-        """Add a panel to the sum and the heap; a non-finite one raises."""
-        nonlocal total_val, total_err
-        # cmath on the list: a third of the cost of np.isfinite on a few components
-        if not all(map(cmath.isfinite, val.tolist())):
-            raise AccuracyError(f"integrand is not finite on [{lo:g}, {hi:g}]",
-                                achieved=math.inf)
-        err = float(errs.sum())
-        total_val = val if total_val is None else total_val + val
-        total_err += err
-        heapq.heappush(heap, (-err, lo, hi, val, errs))
-
-    for lo, hi, val, errs in zip(edges[:-1], edges[1:], *_panels(fn, edges[:-1], edges[1:])):
-        take(lo, hi, val, errs)
-    n_panels = len(edges) - 1
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    vals, errs = _panels(fn, lo, hi)
     min_width = 1e-12 * (b - a + 1.0)
-    frozen_err = 0.0
-    frozen = []
-    # lo of a live panel -> the values and errors of its two halves
-    halves: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    while total_err + frozen_err > abs_tol and heap:
-        if n_panels >= MAX_PANELS:
-            raise AccuracyError("quadrature subdivision budget exhausted",
-                                achieved=total_err + frozen_err)
-        neg_err, lo, hi, val, errs = heapq.heappop(heap)
-        err = -neg_err
-        if hi - lo < min_width:
-            # cannot refine further; count its error as irreducible
-            frozen_err += err
-            total_err -= err
-            frozen.append(errs)
-            continue
-        mid = 0.5 * (lo + hi)
-        if lo not in halves:
-            batch = [(lo, hi)] + [
-                panel for panel in _certain(heap, total_err + frozen_err - abs_tol - err,
-                                            MAX_PANELS - n_panels - 1, min_width)
-                if panel[0] not in halves]
-            vals, errss = _panels(fn, [x for p, q in batch for x in (p, 0.5 * (p + q))],
-                                  [x for p, q in batch for x in (0.5 * (p + q), q)])
-            halves.update(zip((p for p, _ in batch),
-                              zip(vals.reshape(len(batch), 2, -1),
-                                  errss.reshape(len(batch), 2, -1))))
-        (lval, rval), (lerrs, rerrs) = halves.pop(lo)
-        total_val, total_err = total_val - val, total_err - err
-        take(lo, mid, lval, lerrs)
-        take(mid, hi, rval, rerrs)
-        n_panels += 1
-    if total_err + frozen_err > abs_tol:
-        raise AccuracyError("quadrature panels too narrow to bisect further",
-                            achieved=total_err + frozen_err)
-    return total_val, sum(frozen + [entry[-1] for entry in heap])
+    while True:
+        err = errs.sum(axis=1)
+        bad = np.flatnonzero(~(np.isfinite(vals).all(axis=1) & np.isfinite(err)))
+        if bad.size:
+            first = bad[np.argmin(lo[bad])]
+            raise AccuracyError(f"integrand is not finite on [{lo[first]:g}, {hi[first]:g}]",
+                                achieved=math.inf)
+        rows = np.array([_fsum(col) for col in errs.T.tolist()])
+        total = _fsum(rows)
+        if total <= abs_tol:
+            break
+        room = MAX_PANELS - lo.size
+        if room <= 0:
+            raise AccuracyError("quadrature subdivision budget exhausted", achieved=total)
+        wide = np.flatnonzero(hi - lo >= min_width)
+        if not wide.size:
+            raise AccuracyError("quadrature panels too narrow to bisect further", achieved=total)
+        # certain: the top panel, and each next one while the panels ranked at
+        # or below it hold more than abs_tol
+        ranked = wide[np.lexsort((lo[wide], -err[wide]))]
+        ahead = np.cumsum(err[ranked[:-1]])
+        take = ranked[:min(1 + np.searchsorted(ahead, total - abs_tol), room)]
+        mid = 0.5 * (lo[take] + hi[take])
+        left, right = np.concatenate([lo[take], mid]), np.concatenate([mid, hi[take]])
+        new_vals, new_errs = _panels(fn, left, right)
+        keep = np.ones(lo.size, dtype=bool)
+        keep[take] = False
+        lo, hi = np.concatenate([lo[keep], left]), np.concatenate([hi[keep], right])
+        vals, errs = np.concatenate([vals[keep], new_vals]), np.concatenate([errs[keep], new_errs])
+    # exactly rounded per real and imaginary column
+    columns = np.ascontiguousarray(vals).view(float).T
+    return np.array([_fsum(col) for col in columns.tolist()]).view(vals.dtype), rows

@@ -2,8 +2,8 @@
 
 A function is evaluated through one array map, its `evaluator`: an (n,)
 array of times goes in and the (n, 4) array of the values' real components
-comes out, so a quadrature evaluates the nodes of both halves of a
-bisected panel in one call.  The JSON vocabulary (exp / poly /
+comes out, so a quadrature evaluates the nodes of every panel of a round
+in one call.  The JSON vocabulary (exp / poly /
 heaviside_shift / sum / scale) and the combinators build that map directly
 in numpy; a bare scalar callable t -> Quaternion is wrapped into it once,
 and `f(t)` reads one row of it.
